@@ -17,9 +17,14 @@ previous record: any bench whose wall time regressed more than
 REGRESSION_THRESHOLD (25%) is flagged in the table and the script exits 1, so
 the CI trend check actually gates instead of just reporting.  Refresh the
 baseline intentionally with --update-baseline after an accepted change.
+
+The summary also reports the line count of the simulator's source
+(src/**/*.hpp and *.cpp) — informational, never gated — so code size is
+tracked next to the wall times.
 """
 import argparse
 import json
+import os
 import sys
 
 REGRESSION_THRESHOLD = 0.25  # flag timing records that regressed > 25% ...
@@ -63,6 +68,21 @@ def load_records(paths):
                              record.get(f"phase_{phase}_ns", 0), record[key])
                         )
     return timing_rows, rate_rows, phase_rows
+
+
+def src_line_count():
+    """Lines in src/**/*.hpp and *.cpp of the checkout holding this script."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    if not os.path.isdir(src):
+        return None
+    total = 0
+    for directory, _, files in os.walk(src):
+        for name in files:
+            if name.endswith((".hpp", ".cpp")):
+                with open(os.path.join(directory, name), "rb") as handle:
+                    total += handle.read().count(b"\n")
+    return total
 
 
 def main():
@@ -171,6 +191,13 @@ def main():
         print("|---|---|---|---:|---:|")
         for bench, record, phase, ns, share in phase_rows:
             print(f"| {bench} | {record} | {phase} | {ns:,} | {share:.1%} |")
+
+    lines = src_line_count()
+    if lines is not None:
+        print("")
+        print("## Source size")
+        print("")
+        print(f"`src/` (*.hpp, *.cpp): {lines:,} lines (informational, not gated)")
 
     if regressions:
         print("")

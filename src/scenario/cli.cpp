@@ -23,7 +23,7 @@ void Cli::addKey(std::string key, std::string doc) {
 }
 
 CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
-  // Worker invocation: the SubprocessBackend re-execs this binary with one
+  // Worker invocation: the worker fleet re-execs this binary with one
   // flag; everything else (including the binary's own defaults) is ignored —
   // the jobs on stdin carry complete specs.
   if (argc > 1 && std::string_view(argv[1]) == kWorkerFlag) {
@@ -64,7 +64,7 @@ CliStatus Cli::parse(int argc, char** argv, ScenarioSpec* spec) {
                     " or JSON spec file\n");
       }
       std::printf("  backend=threads             execution backend: threads |"
-                  " processes | stream\n");
+                  " stream (processes: another spelling of stream)\n");
       std::printf("  shards=0                    worker threads/processes (0 = auto:"
                   " PNOC_BENCH_THREADS, else hardware)\n");
       std::printf("  hosts=@hosts.json           stream across a hosts file"

@@ -22,7 +22,7 @@
 //   scenario::ScenarioRunner runner(cli.backendOptions());
 //   const std::string jsonDir = cli.config().getString("json", ".");
 //
-// Every binary that parses through Cli is automatically a SubprocessBackend
+// Every binary that parses through Cli is automatically a worker-fleet
 // worker host: invoked as `<binary> --pnoc-worker` it speaks the JSON job
 // protocol on stdin/stdout and exits (the kWorker status above).
 #pragma once

@@ -92,7 +92,7 @@ std::string policyHelpText() {
       "  connect_timeout_ms=30000    per-worker launch-to-ack budget (hosts connect"
       " concurrently)\n"
       "  fail_soft=0                 1: exhausted jobs become per-job failure"
-      " records instead of aborting the grid\n"
+      " records instead of failing the run after the grid\n"
       "  pipeline=1                  jobs kept in flight per worker (>1 hides"
       " high-RTT job lines; replies stay in order)\n";
 }

@@ -1,19 +1,18 @@
 // FaultPolicy: the explicit failure semantics of the dispatch layer.
 //
-// PR 4's streaming pool had one hard-coded behavior per failure class:
-// retry a lost job exactly once, never respawn a dead worker, no deadline
-// after the handshake, abort the grid on the first exhausted job.  This
-// struct makes every one of those choices a knob, settable three ways with
-// one shared key set (fault_policy.cpp's setPolicyField):
+// Every failure class of the worker fleet has one knob here, settable three
+// ways with one shared key set (fault_policy.cpp's setPolicyField):
 //
 //   * CLI keys on every scenario binary and pnoc_run (scenario::Cli):
 //       retries=1 respawns=1 backoff_ms=200 job_deadline_ms=0 grace_ms=2000
 //       connect_timeout_ms=30000 fail_soft=0
 //   * a hosts file's top-level "policy" object (hosts=@hosts.json), with
 //     CLI keys overriding the file's values key by key;
-//   * code, for tests and embedders (StreamingWorkerPool's constructor).
+//   * code, for tests and embedders (StreamingBackend's and FleetManager's
+//     constructors).
 //
-// The semantics each knob buys (implemented in streaming_worker_pool.cpp):
+// The semantics each knob buys (implemented in dispatch/fleet.cpp, with
+// fail_soft applied by the batch driver in streaming_backend.cpp):
 //
 //   retries        redispatches a job gets after a fault killed its worker
 //                  (worker death, protocol corruption, deadline kill) before
@@ -38,15 +37,19 @@
 //                  never hang the dispatcher indefinitely.
 //   connect_timeout_ms  launch-to-handshake-ack budget per worker (per-host
 //                  override via a host entry's own connect_timeout_ms).
-//                  Transports launch CONCURRENTLY against this budget, so an
-//                  N-host ssh fleet starts in max, not sum, of connect
-//                  times.
+//                  Launching only forks and execs; the budget runs on the
+//                  handshake ack, which every worker answers in parallel, so
+//                  an N-host ssh fleet starts in max, not sum, of connect
+//                  times.  A worker that misses it is named and dropped.
 //   fail_soft      1: a job that exhausts `retries` (or fails in-band, or
 //                  outlives the whole fleet) becomes a structured per-job
-//                  failure outcome — the grid continues, pnoc_run records
-//                  the failure in the BENCH checkpoint, and resume=1 later
-//                  re-dispatches exactly those indices.  0 (default): the
-//                  first exhausted job aborts the dispatch (PR 4 behavior).
+//                  failure outcome — pnoc_run records the failure in the
+//                  BENCH checkpoint, and resume=1 later re-dispatches
+//                  exactly those indices.  0 (default): the grid still
+//                  runs to the end (every success reaches the observer and
+//                  the checkpoint), then the batch throws naming the lowest
+//                  failed job and its cause.  The pnoc_serve daemon always
+//                  records failures, as fail_soft=1 does.
 #pragma once
 
 #include <cstdint>

@@ -1,27 +1,22 @@
-#include "service/fleet.hpp"
+#include "scenario/dispatch/fleet.hpp"
 
 #include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "obs/trace.hpp"
 #include "scenario/wire.hpp"
 
-namespace pnoc::service {
+namespace pnoc::scenario::dispatch {
 namespace {
 
-using scenario::dispatch::backoffMsForAttempt;
-using scenario::dispatch::describeWaitStatus;
-using scenario::dispatch::terminateWorker;
-using scenario::dispatch::writeAllToWorker;
-
-/// PNOC_STREAM_ACK_TIMEOUT_MS overrides every connect/ack budget (shared
-/// with the batch dispatch layer, so tests tune both the same way).
+/// PNOC_STREAM_ACK_TIMEOUT_MS overrides every connect/ack budget (tests,
+/// very slow fleets); 0 / unset defers to the policy and per-host values.
 std::uint64_t envConnectTimeoutMs() {
   if (const char* env = std::getenv("PNOC_STREAM_ACK_TIMEOUT_MS")) {
     const long ms = std::strtol(env, nullptr, 10);
@@ -30,10 +25,16 @@ std::uint64_t envConnectTimeoutMs() {
   return 0;
 }
 
+/// A worker's name in loud messages; fail-soft records never carry it (a
+/// pid would make two identically-faulty runs record different bytes).
+std::string describeWorker(const WorkerConnection& conn) {
+  return conn.description + " (pid " + std::to_string(conn.pid) + ")";
+}
+
 }  // namespace
 
-FleetManager::FleetManager(scenario::dispatch::FaultPolicy policy,
-                           Callbacks callbacks, obs::Registry* registry)
+FleetManager::FleetManager(FaultPolicy policy, Callbacks callbacks,
+                           obs::Registry* registry)
     : policy_(policy), callbacks_(std::move(callbacks)) {
   // A worker dying mid-write must surface as EPIPE, not SIGPIPE.
   std::signal(SIGPIPE, SIG_IGN);
@@ -73,7 +74,7 @@ void FleetManager::endHandshakeSpan(Slot& slot) {
 
 void FleetManager::endUnitSpan(const Flight& flight) {
   if (obs::TraceWriter* writer = obs::trace()) {
-    writer->asyncEnd("unit-execution", "fleet", flight.seq);
+    writer->asyncEnd("unit-execution", "fleet", flight.unit.wireIndex);
   }
 }
 
@@ -84,7 +85,8 @@ FleetManager::~FleetManager() {
 }
 
 void FleetManager::note(const std::string& text) {
-  std::fprintf(stderr, "pnoc_serve fleet: %s\n", text.c_str());
+  lastNote_ = text;
+  std::fprintf(stderr, "pnoc fleet: %s\n", text.c_str());
 }
 
 std::uint64_t FleetManager::connectBudgetMs(const Slot& slot) const {
@@ -113,16 +115,15 @@ void FleetManager::startWorker(Slot& slot, std::uint64_t nowMs) {
     writer->asyncBegin("worker-handshake", "fleet", slot.handshakeSpanId);
   }
   // Handshake hello (carries this build's stamp); the ack is validated when
-  // the worker's first line arrives.
-  if (!writeAllToWorker(slot.conn.stdinFd,
-                        scenario::wire::streamHelloLine() + "\n")) {
-    connectFailure(slot, slot.conn.description + " died at the handshake");
+  // the worker's first line arrives, so a whole fleet connects in parallel:
+  // a slow host costs its own connect time, never the sum over hosts.
+  if (!writeAllToWorker(slot.conn.stdinFd, wire::streamHelloLine() + "\n")) {
+    connectFailure(slot, describeWorker(slot.conn) + " died at the handshake");
   }
 }
 
-std::size_t FleetManager::addWorker(
-    std::unique_ptr<scenario::dispatch::WorkerTransport> transport,
-    std::uint64_t nowMs) {
+std::size_t FleetManager::addWorker(std::unique_ptr<WorkerTransport> transport,
+                                    std::uint64_t nowMs) {
   Slot slot;
   slot.transport = std::move(transport);
   slots_.push_back(std::move(slot));
@@ -130,9 +131,7 @@ std::size_t FleetManager::addWorker(
   return slots_.size() - 1;
 }
 
-bool FleetManager::removeWorker(std::size_t worker, std::uint64_t nowMs,
-                                std::string* error) {
-  (void)nowMs;
+bool FleetManager::removeWorker(std::size_t worker, std::string* error) {
   if (worker >= slots_.size()) {
     if (error != nullptr) {
       *error = "no worker " + std::to_string(worker) + " (fleet has " +
@@ -158,19 +157,20 @@ bool FleetManager::removeWorker(std::size_t worker, std::uint64_t nowMs,
   return true;
 }
 
-void FleetManager::killSlot(Slot& slot, SlotState endState) {
+std::string FleetManager::killSlot(Slot& slot, SlotState endState) {
   endHandshakeSpan(slot);
-  terminateWorker(slot.conn, policy_.graceMs);
+  const int status = terminateWorker(slot.conn, policy_.graceMs);
   slot.state = endState;
   slot.buffer.clear();
   slot.frontDeadlineMs = 0;
+  return status < 0 ? "could not be reaped" : describeWaitStatus(status);
 }
 
 void FleetManager::refundInFlight(Slot& slot) {
   // Order-preserving reverse push_front: the refunded units re-deal in the
   // order the dead worker would have executed them.
   while (!slot.inFlight.empty()) {
-    endUnitSpan(slot.inFlight.back());  // the re-deal gets a fresh seq/span
+    endUnitSpan(slot.inFlight.back());
     retryQueue_.push_front(std::move(slot.inFlight.back()));
     slot.inFlight.pop_back();
   }
@@ -179,6 +179,8 @@ void FleetManager::refundInFlight(Slot& slot) {
 void FleetManager::chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
                                          const std::string& recordDetail,
                                          std::uint64_t nowMs) {
+  // The FRONT unit is the one the worker was executing: it is charged a
+  // retry.  The queued-behind units never started and go back uncharged.
   if (slot.inFlight.empty()) return;
   Flight front = std::move(slot.inFlight.front());
   slot.inFlight.pop_front();
@@ -199,9 +201,11 @@ void FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
     }
     note(loudWho + " while running job " + std::to_string(flight.unit.ref.job) +
          " unit " + std::to_string(flight.unit.ref.unit) + "; redispatching" +
+         " (attempt " + std::to_string(flight.attempts + 1) + " of " +
+         std::to_string(policy_.retries + 1) + ")" +
          (backoff != 0 ? " after " + std::to_string(backoff) + " ms" : ""));
     if (backoff == 0) {
-      retryQueue_.push_front(std::move(flight));
+      retryQueue_.push_front(std::move(flight));  // retries jump the queue
     } else {
       delayed_.push_back(DelayedFlight{std::move(flight), nowMs + backoff});
     }
@@ -213,11 +217,8 @@ void FleetManager::unitFaulted(Flight flight, const std::string& loudWho,
 
 void FleetManager::recordUnitFailure(const Flight& flight,
                                      const std::string& reason) {
-  // The fleet is fail-soft per unit: a multi-tenant daemon records the
-  // failure (the job's BENCH checkpoint keeps it re-dispatchable) and keeps
-  // serving every other unit.
   statFailedUnits_.inc();
-  scenario::ScenarioOutcome outcome;
+  ScenarioOutcome outcome;
   outcome.op = flight.unit.job.op;
   outcome.spec = flight.unit.job.spec;
   outcome.failed = true;
@@ -230,12 +231,24 @@ void FleetManager::recordUnitFailure(const Flight& flight,
 void FleetManager::connectFailure(Slot& slot, const std::string& what) {
   // The host never proved it can run jobs: retire the slot (no respawn) and
   // refund anything dealt to it uncharged.
-  endHandshakeSpan(slot);
   killSlot(slot, SlotState::kDead);
   slot.launchFailed = true;
   statLaunchFailures_.inc();
   refundInFlight(slot);
-  note(what + "; continuing on the remaining workers");
+  note(what);
+}
+
+void FleetManager::workerFault(Slot& slot, const std::string& what,
+                               const std::string& recordDetail,
+                               std::uint64_t nowMs) {
+  // A worker whose protocol is corrupt cannot be trusted with further
+  // units: kill it, charge its front unit a retry, and let the slot respawn.
+  statProtocolDeaths_.inc();
+  const std::string who = describeWorker(slot.conn);
+  killSlot(slot, SlotState::kDead);
+  note(who + " " + what + " (worker killed)");
+  chargeFrontRefundRest(slot, who + " " + what, recordDetail, nowMs);
+  maybeRespawn(slot, nowMs);
 }
 
 void FleetManager::maybeRespawn(Slot& slot, std::uint64_t nowMs) {
@@ -256,7 +269,9 @@ void FleetManager::pump(std::uint64_t nowMs) {
   const unsigned depth = policy_.pipeline == 0 ? 1 : policy_.pipeline;
   for (Slot& slot : slots_) {
     // Ready workers only: a connecting worker has not proven its build
-    // stamp yet, and dealing to it would race the handshake.
+    // stamp yet, and dealing to it would race the handshake.  With
+    // pipeline > 1 a worker's next line is already queued on its stdin
+    // while the current unit simulates — the round trip hides behind work.
     while (slot.state == SlotState::kReady && slot.inFlight.size() < depth) {
       Flight flight;
       if (!retryQueue_.empty()) {
@@ -268,9 +283,8 @@ void FleetManager::pump(std::uint64_t nowMs) {
         if (!unit) return;  // queue is dry — nothing to deal anywhere
         flight.unit = std::move(*unit);
       }
-      flight.seq = nextSeq_++;
       const std::string line =
-          scenario::wire::jobLine(flight.seq, flight.unit.job) + "\n";
+          wire::jobLine(flight.unit.wireIndex, flight.unit.job) + "\n";
       bool written;
       {
         const obs::ScopedSpan span("dispatch", "fleet");
@@ -278,7 +292,7 @@ void FleetManager::pump(std::uint64_t nowMs) {
       }
       if (written) {
         if (obs::TraceWriter* writer = obs::trace()) {
-          writer->asyncBegin("unit-execution", "fleet", flight.seq);
+          writer->asyncBegin("unit-execution", "fleet", flight.unit.wireIndex);
         }
         if (slot.inFlight.empty() && policy_.jobDeadlineMs != 0) {
           slot.frontDeadlineMs = nowMs + policy_.jobDeadlineMs;
@@ -291,12 +305,13 @@ void FleetManager::pump(std::uint64_t nowMs) {
         // Died taking the line: this unit goes back untouched; queued units
         // are handled like any death — front charged, rest refunded.
         retryQueue_.push_front(std::move(flight));
-        const std::string who = slot.conn.description;
-        killSlot(slot, SlotState::kDead);
+        const std::string who = describeWorker(slot.conn);
+        const std::string end = killSlot(slot, SlotState::kDead);
         if (slot.inFlight.empty()) {
-          note(who + " died while idle");
+          note(who + " " + end + " while idle");
         } else {
-          chargeFrontRefundRest(slot, who + " died", "worker death", nowMs);
+          chargeFrontRefundRest(slot, who + " " + end, "worker death: " + end,
+                                nowMs);
         }
         maybeRespawn(slot, nowMs);
       }
@@ -305,6 +320,9 @@ void FleetManager::pump(std::uint64_t nowMs) {
 }
 
 std::vector<pollfd> FleetManager::pollFds() const {
+  // Idle workers are polled too: their only possible events are the
+  // handshake ack and EOF, and seeing an idle death promptly keeps it a
+  // tolerated (and healed) anomaly.
   std::vector<pollfd> fds;
   for (const Slot& slot : slots_) {
     if (slot.state == SlotState::kConnecting || slot.state == SlotState::kReady) {
@@ -348,41 +366,34 @@ void FleetManager::handleLine(Slot& slot, const std::string& line,
                               std::uint64_t nowMs) {
   if (slot.state == SlotState::kConnecting) {
     try {
-      scenario::wire::checkStreamAck(line);
+      wire::checkStreamAck(line);
     } catch (const std::runtime_error& error) {
       // Bad ack — wrong protocol version or mismatched build stamp: the
       // host runs SOMETHING, but not this build; retire it.
-      connectFailure(slot, slot.conn.description + ": " + error.what());
+      connectFailure(slot, describeWorker(slot.conn) + ": " + error.what());
       return;
     }
     slot.state = SlotState::kReady;
     endHandshakeSpan(slot);
     return;
   }
-  scenario::wire::WorkerReply reply;
+  wire::WorkerReply reply;
   try {
-    reply = scenario::wire::parseReplyLine(line);
+    reply = wire::parseReplyLine(line);
   } catch (const std::exception& error) {
-    statProtocolDeaths_.inc();
-    const std::string who = slot.conn.description;
-    killSlot(slot, SlotState::kDead);
-    note(who + " sent an unparseable reply (worker killed): " + error.what());
-    chargeFrontRefundRest(slot, who + " sent an unparseable reply",
-                          "worker-protocol death: unparseable reply", nowMs);
-    maybeRespawn(slot, nowMs);
+    workerFault(slot, std::string("sent an unparseable reply: ") + error.what(),
+                "worker-protocol death: unparseable reply", nowMs);
     return;
   }
   // In-order pipeline: the reply must answer the FRONT of this worker's
   // queue (it executes stdin lines sequentially) — anything else is
   // corruption.
-  if (slot.inFlight.empty() || reply.index != slot.inFlight.front().seq) {
-    statProtocolDeaths_.inc();
-    const std::string who = slot.conn.description;
-    killSlot(slot, SlotState::kDead);
-    note(who + " replied out of order (worker killed)");
-    chargeFrontRefundRest(slot, who + " replied out of order",
-                          "worker-protocol death: out-of-order reply", nowMs);
-    maybeRespawn(slot, nowMs);
+  if (slot.inFlight.empty() ||
+      reply.index != slot.inFlight.front().unit.wireIndex) {
+    workerFault(slot,
+                "replied for job " + std::to_string(reply.index) +
+                    " out of order",
+                "worker-protocol death: out-of-order reply", nowMs);
     return;
   }
   Flight flight = std::move(slot.inFlight.front());
@@ -409,23 +420,22 @@ void FleetManager::handleLine(Slot& slot, const std::string& line,
 }
 
 void FleetManager::handleDeath(Slot& slot, std::uint64_t nowMs) {
-  const std::string who = slot.conn.description;
+  const std::string who = describeWorker(slot.conn);
   const bool connecting = slot.state == SlotState::kConnecting;
   const bool truncated = !slot.buffer.empty();
-  killSlot(slot, SlotState::kDead);
+  const std::string end = killSlot(slot, SlotState::kDead);
   if (connecting) {
-    connectFailure(slot, who + " died before the handshake ack");
+    connectFailure(slot, who + " " + end + " before the handshake ack");
     return;
   }
   if (truncated) statProtocolDeaths_.inc();
-  const std::string how =
-      truncated ? "died with a truncated reply line" : "died";
+  const std::string how = end + (truncated ? " with a truncated reply line" : "");
   if (slot.inFlight.empty()) {
+    // An idle death loses no unit: reported, healed, never charged.
     note(who + " " + how + " while idle");
-    maybeRespawn(slot, nowMs);
-    return;
+  } else {
+    chargeFrontRefundRest(slot, who + " " + how, "worker death: " + how, nowMs);
   }
-  chargeFrontRefundRest(slot, who + " " + how, "worker death", nowMs);
   maybeRespawn(slot, nowMs);
 }
 
@@ -445,7 +455,7 @@ void FleetManager::onTick(std::uint64_t nowMs) {
   releaseDelayed(nowMs);
   for (Slot& slot : slots_) {
     if (slot.state == SlotState::kConnecting && nowMs >= slot.connectDeadlineMs) {
-      connectFailure(slot, slot.conn.description +
+      connectFailure(slot, describeWorker(slot.conn) +
                                " did not acknowledge the streaming protocol"
                                " within " +
                                std::to_string(connectBudgetMs(slot)) +
@@ -455,21 +465,18 @@ void FleetManager::onTick(std::uint64_t nowMs) {
     if (slot.state == SlotState::kReady && !slot.inFlight.empty() &&
         policy_.jobDeadlineMs != 0 && slot.frontDeadlineMs != 0 &&
         nowMs >= slot.frontDeadlineMs) {
+      // A hung or wedged worker: SIGTERM-grace-SIGKILL, its front unit
+      // charged a retry, the queued-behind ones refunded.
       statDeadlineKills_.inc();
-      const std::string who = slot.conn.description;
-      Flight front = std::move(slot.inFlight.front());
-      slot.inFlight.pop_front();
-      endUnitSpan(front);
-      killSlot(slot, SlotState::kDead);
-      refundInFlight(slot);
-      note(who + " exceeded the " + std::to_string(policy_.jobDeadlineMs) +
-           " ms job deadline (worker killed)");
-      unitFaulted(std::move(front),
-                  who + " exceeded the " + std::to_string(policy_.jobDeadlineMs) +
-                      " ms job deadline",
-                  "job deadline exceeded (" +
-                      std::to_string(policy_.jobDeadlineMs) + " ms)",
-                  nowMs);
+      const std::string who = describeWorker(slot.conn);
+      const std::string deadline =
+          "the " + std::to_string(policy_.jobDeadlineMs) + " ms job deadline";
+      const std::string end = killSlot(slot, SlotState::kDead);
+      note(who + " exceeded " + deadline + " (" + end + ")");
+      chargeFrontRefundRest(slot, who + " exceeded " + deadline,
+                            "job deadline exceeded (" +
+                                std::to_string(policy_.jobDeadlineMs) + " ms)",
+                            nowMs);
       maybeRespawn(slot, nowMs);
     }
   }
@@ -502,6 +509,33 @@ void FleetManager::dropUnitsForJob(std::uint64_t jobId) {
                                   return gone(d.flight);
                                 }),
                  delayed_.end());
+}
+
+std::vector<std::string> FleetManager::closeAndReap() {
+  std::vector<std::string> failures;
+  for (Slot& slot : slots_) {
+    if (slot.state == SlotState::kReady) closeConnection(slot.conn);
+  }
+  for (Slot& slot : slots_) {
+    if (slot.state == SlotState::kConnecting) {
+      // Never acknowledged, so it ran nothing: retire it without a verdict.
+      killSlot(slot, SlotState::kDead);
+      continue;
+    }
+    if (slot.state != SlotState::kReady) continue;
+    slot.state = SlotState::kDead;
+    bool killed = false;
+    const int status = reapWorkerWithin(slot.conn, policy_.graceMs, &killed);
+    if (status < 0) {
+      failures.push_back(slot.conn.description + " could not be reaped");
+    } else if (killed) {
+      failures.push_back(slot.conn.description + " did not exit within " +
+                         std::to_string(policy_.graceMs) + " ms of EOF (killed)");
+    } else if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
+      failures.push_back(slot.conn.description + " " + describeWaitStatus(status));
+    }
+  }
+  return failures;
 }
 
 bool FleetManager::idle() const {
@@ -551,4 +585,4 @@ std::vector<FleetManager::WorkerStatus> FleetManager::workerStatus() const {
   return statuses;
 }
 
-}  // namespace pnoc::service
+}  // namespace pnoc::scenario::dispatch

@@ -1,31 +1,41 @@
-// FleetManager: the service daemon's shared elastic worker fleet.
+// FleetManager: the one multi-process executor — an elastic fleet of
+// persistent protocol workers driven from an external poll loop.
 //
-// The dispatch layer's StreamingWorkerPool is a BATCH engine: execute()
-// owns the calling thread until a fixed job vector completes.  A daemon
-// needs the same machinery — persistent protocol workers, handshake with
-// build-stamp validation, pipelined in-order dealing, retry/backoff,
-// deadline kills, respawns — but driven from an external poll loop over an
-// OPEN-ENDED stream of units pulled from the job queue.  This class is that
-// generalization: every fault-handling rule matches streaming_worker_pool
-// (same FaultPolicy knobs, same charge-the-front/refund-the-rest death
-// semantics), restructured as non-blocking event-loop calls.
+// Both consumers drive the same machinery: StreamingBackend (backend=stream,
+// and its spelling backend=processes) feeds it a fixed vector of units and
+// polls until every unit is done; the pnoc_serve daemon feeds it an
+// OPEN-ENDED stream of units pulled from its job queue and interleaves the
+// fleet's fds with its client sockets.  The fleet owns every worker-side
+// rule: handshake with build-stamp validation, pipelined in-order dealing,
+// retry/backoff, deadline kills, respawns, and the
+// charge-the-front/refund-the-rest death semantics (FaultPolicy knobs,
+// dispatch/fault_policy.hpp).
 //
 //   FleetManager fleet(policy, callbacks);
-//   fleet.addWorker(std::move(transport));   // repeatable at runtime
+//   fleet.addWorker(std::move(transport), nowMs);  // repeatable at runtime
 //   loop {
 //     fleet.pump(nowMs);                         // deal units to capacity
 //     poll(fleet.pollFds() + your own fds, min(fleet.nextDeadlineMs(), ...));
 //     for (ready worker fd) fleet.onReadable(fd, nowMs);
-//     fleet.onTick(nowMs);                       // deadlines, respawn backoff
+//     fleet.onTick(nowMs);                       // deadlines, backoff expiry
 //   }
 //
-// Units enter via callbacks.nextUnit (the queue's scheduler) and leave via
-// callbacks.unitDone — ALWAYS, the fleet is fail-soft per unit: a unit that
-// exhausts its retry budget completes as a failed ScenarioOutcome, never as
-// a thrown batch abort (one poisonous job must not take a multi-tenant
-// daemon down).  Workers join with addWorker() and leave with
-// removeWorker(); a removed or dead worker's in-flight units are refunded
-// to the queue, so elasticity never drops a job.
+// Session shape per worker (over any WorkerTransport):
+//
+//   parent -> worker   {"pnoc_stream_hello":1,...}   handshake (wire.hpp)
+//   worker -> parent   {"pnoc_stream_ack":1,...}     within the connect budget
+//   parent -> worker   job lines, up to policy.pipeline in flight
+//   worker -> parent   one reply line per job line, in order
+//   parent -> worker   stdin EOF (closeAndReap)   -> worker exits 0
+//
+// Units enter via callbacks.nextUnit and leave via callbacks.unitDone —
+// ALWAYS: the fleet is fail-soft per unit, so a unit that exhausts its retry
+// budget (or fails in-band) completes as a failed ScenarioOutcome carrying a
+// deterministic, pid-free cause.  Whether a failure aborts anything is the
+// caller's policy (StreamingBackend throws after the batch unless
+// fail_soft=1; the daemon records it).  Workers join with addWorker() and
+// leave with removeWorker(); a removed or dead worker's in-flight units are
+// refunded to the queue, so elasticity never drops a unit.
 #pragma once
 
 #include <cstdint>
@@ -42,14 +52,24 @@
 #include "scenario/dispatch/fault_policy.hpp"
 #include "scenario/dispatch/worker_transport.hpp"
 #include "scenario/execution_backend.hpp"
-#include "service/job_queue.hpp"
 
-namespace pnoc::service {
+namespace pnoc::scenario::dispatch {
 
-/// One schedulable unit with its payload, as the queue hands it over.
+/// Names one unit: job id + index into that job's grid (a batch is job 0).
+struct UnitRef {
+  std::uint64_t job = 0;
+  std::size_t unit = 0;
+};
+
+/// One schedulable unit with its payload, as its source hands it over.
 struct FleetUnit {
   UnitRef ref;
-  scenario::ScenarioJob job;
+  ScenarioJob job;
+  /// The index the unit travels under on the wire — and so the index
+  /// PNOC_TEST_FAULT keys on.  Chosen by the source (a batch uses the job's
+  /// index in its batch, the daemon a running sequence number) and kept
+  /// across every retry of the unit.
+  std::size_t wireIndex = 0;
 };
 
 class FleetManager {
@@ -57,9 +77,9 @@ class FleetManager {
   struct Callbacks {
     /// Pulls the next unit to dispatch; std::nullopt when nothing pends.
     std::function<std::optional<FleetUnit>()> nextUnit;
-    /// A unit completed — successfully or (retry budget exhausted) as a
-    /// failed outcome.  Fires on the loop thread.
-    std::function<void(const UnitRef&, scenario::ScenarioOutcome)> unitDone;
+    /// A unit completed — successfully or (retry budget exhausted, in-band
+    /// error) as a failed outcome.  Fires on the loop thread.
+    std::function<void(const UnitRef&, ScenarioOutcome)> unitDone;
   };
 
   /// Cumulative fault/pipelining counters (never reset; the status
@@ -89,20 +109,20 @@ class FleetManager {
   /// `registry` hosts the fleet_* metrics (the daemon passes its own so one
   /// snapshot covers queue+fleet+journal); nullptr makes the fleet own a
   /// private registry — same behaviour, uncoordinated exposition.
-  FleetManager(scenario::dispatch::FaultPolicy policy, Callbacks callbacks,
+  FleetManager(FaultPolicy policy, Callbacks callbacks,
                obs::Registry* registry = nullptr);
   ~FleetManager();  // terminates every live worker (bounded escalation)
 
   /// Spawns one worker through `transport` and starts its handshake; the
   /// slot becomes ready when the ack (with a matching build stamp) arrives
   /// within the connect budget.  Returns the slot index.
-  std::size_t addWorker(std::unique_ptr<scenario::dispatch::WorkerTransport> t,
+  std::size_t addWorker(std::unique_ptr<WorkerTransport> transport,
                         std::uint64_t nowMs);
 
   /// Removes one worker: its in-flight units are returned to the queue
   /// UNCHARGED and the process is terminated.  False (with *error named)
   /// when the index is unknown or already removed.
-  bool removeWorker(std::size_t worker, std::uint64_t nowMs, std::string* error);
+  bool removeWorker(std::size_t worker, std::string* error);
 
   /// Deals queued retries and fresh units to every ready worker with
   /// pipeline capacity.
@@ -122,10 +142,16 @@ class FleetManager {
   /// an absolute nowMs-scale time; std::nullopt when nothing is armed.
   std::optional<std::uint64_t> nextDeadlineMs() const;
 
-  /// Returns every queued-but-undealt retry AND recalls nothing in flight:
-  /// cancel support — in-flight units of a canceled job finish on their
-  /// workers and the server discards the results.
+  /// Drops every queued-but-undealt retry of `jobId` and recalls nothing in
+  /// flight: cancel support — in-flight units of a canceled job finish on
+  /// their workers and the caller discards the results.
   void dropUnitsForJob(std::uint64_t jobId);
+
+  /// Success-path teardown: EOF every live worker's stdin, reap each within
+  /// the grace (SIGKILL past it) and return one failure text per worker
+  /// that did not exit cleanly — a worker that corrupted its protocol must
+  /// not pass silently just because every unit has a result.
+  std::vector<std::string> closeAndReap();
 
   /// True when no unit is in flight and no retry is queued.
   bool idle() const;
@@ -134,19 +160,20 @@ class FleetManager {
   std::size_t liveWorkers() const;  // ready + connecting
   std::vector<WorkerStatus> workerStatus() const;
   Stats stats() const;
+  /// The most recent death/connect note (what a collapsed fleet reports).
+  const std::string& lastNote() const { return lastNote_; }
 
  private:
   struct Flight {
     FleetUnit unit;
-    unsigned attempts = 0;   // faulted dispatches so far
-    std::size_t seq = 0;     // wire index of this dispatch
+    unsigned attempts = 0;  // faulted dispatches so far
   };
 
   enum class SlotState { kConnecting, kReady, kDead, kRemoved };
 
   struct Slot {
-    std::unique_ptr<scenario::dispatch::WorkerTransport> transport;
-    scenario::dispatch::WorkerConnection conn;
+    std::unique_ptr<WorkerTransport> transport;
+    WorkerConnection conn;
     SlotState state = SlotState::kConnecting;
     std::string buffer;
     std::deque<Flight> inFlight;  // front is the unit the worker is executing
@@ -166,7 +193,7 @@ class FleetManager {
 
   std::uint64_t connectBudgetMs(const Slot& slot) const;
   void startWorker(Slot& slot, std::uint64_t nowMs);
-  void killSlot(Slot& slot, SlotState endState);
+  std::string killSlot(Slot& slot, SlotState endState);
   void refundInFlight(Slot& slot);
   void chargeFrontRefundRest(Slot& slot, const std::string& loudWho,
                              const std::string& recordDetail,
@@ -175,6 +202,8 @@ class FleetManager {
                    const std::string& recordDetail, std::uint64_t nowMs);
   void recordUnitFailure(const Flight& flight, const std::string& reason);
   void connectFailure(Slot& slot, const std::string& what);
+  void workerFault(Slot& slot, const std::string& what,
+                   const std::string& recordDetail, std::uint64_t nowMs);
   void maybeRespawn(Slot& slot, std::uint64_t nowMs);
   void handleLine(Slot& slot, const std::string& line, std::uint64_t nowMs);
   void handleDeath(Slot& slot, std::uint64_t nowMs);
@@ -183,13 +212,13 @@ class FleetManager {
   void endHandshakeSpan(Slot& slot);
   void endUnitSpan(const Flight& flight);
 
-  scenario::dispatch::FaultPolicy policy_;
+  FaultPolicy policy_;
   Callbacks callbacks_;
   std::vector<Slot> slots_;
   std::deque<Flight> retryQueue_;        // refunded/retried units, dealt first
   std::vector<DelayedFlight> delayed_;   // units waiting out a backoff
-  std::size_t nextSeq_ = 0;  // wire index generator (daemon-unique)
   std::uint64_t nextHandshakeId_ = 0;  // trace span ids across respawns
+  std::string lastNote_;
 
   // Registry-backed fault counters (see Stats); the registry outlives the
   // handles: either `registry` from the ctor or ownedRegistry_.
@@ -204,4 +233,4 @@ class FleetManager {
   obs::Gauge statMaxInFlight_;
 };
 
-}  // namespace pnoc::service
+}  // namespace pnoc::scenario::dispatch

@@ -1,26 +1,25 @@
 // WorkerTransport: how the dispatch layer reaches a worker process.
 //
 // A transport knows how to LAUNCH one worker speaking the NDJSON job
-// protocol on stdin/stdout; everything above it (dealing, merging, retry)
-// is transport-agnostic.  Two implementations:
+// protocol on stdin/stdout; everything above it (the fleet's dealing,
+// retry and merging, dispatch/fleet.hpp) is transport-agnostic.  Two
+// implementations:
 //
 //   LocalProcessTransport - re-exec this binary (or a named executable)
-//                           with `--pnoc-worker`, exactly like
-//                           SubprocessBackend has always done
+//                           with `--pnoc-worker`
 //   CommandTransport      - prefix the worker command with an arbitrary
 //                           launcher argv (`ssh hostA`, `docker exec c`,
 //                           `env`), so the same protocol fans out across
 //                           machines or containers
 //
 // Both produce a WorkerConnection: a child pid plus the two pipe fds the
-// parent owns.  Pipe fds are FD_CLOEXEC so concurrently-launched workers
-// never inherit each other's ends (the pipe-inheritance deadlock fixed in
-// the subprocess backend applies to every transport).
+// parent owns.  launch() only forks and execs — it never waits on the
+// remote side; the fleet runs each worker's connect budget on its
+// handshake ack, so a fleet of slow hosts connects in parallel.  Pipe fds
+// are FD_CLOEXEC so one worker never inherits another's ends.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -102,12 +101,8 @@ void closeConnection(WorkerConnection& connection);
 /// Writes the whole buffer (EINTR-safe); returns false on EPIPE — the
 /// worker died, and its wait status tells the story — and throws
 /// std::runtime_error on any other error.  Callers must have SIGPIPE
-/// ignored (both backends do, process-wide, before their first write).
+/// ignored (FleetManager does, process-wide, on construction).
 bool writeAllToWorker(int fd, const std::string& data);
-
-/// Blocking reap (EINTR-safe); returns the wait status and clears `pid`.
-/// Returns -1 when the pid was already reaped or never valid.
-int reapWorker(WorkerConnection& connection);
 
 /// Bounded reap: waits up to `graceMs` (WNOHANG polling) for the worker to
 /// exit on its own; one still alive at expiry is SIGKILLed and reaped —
@@ -126,23 +121,5 @@ int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs,
 
 /// "exited with status N" / "killed by signal N" for a wait status.
 std::string describeWaitStatus(int status);
-
-/// One transport's result from a concurrent fleet launch: a live
-/// connection, or the error that (or timeout which) prevented one.
-struct LaunchOutcome {
-  std::optional<WorkerConnection> connection;
-  std::string error;  // set when `connection` is empty
-};
-
-/// Launches every transport CONCURRENTLY, each against its own connect
-/// timeout (transport override, else `defaultTimeoutMs`), so an N-host ssh
-/// fleet pays max — not sum — of the connect times.  A transport whose
-/// launch() has not returned inside its budget is reported by name in
-/// `error` and abandoned: when the straggler eventually returns, its worker
-/// is torn down by the (detached) launch thread, never leaked and never
-/// joined into the fleet.  Outcomes are indexed like `transports`.
-std::vector<LaunchOutcome> launchConcurrently(
-    const std::vector<std::unique_ptr<WorkerTransport>>& transports,
-    std::uint64_t defaultTimeoutMs);
 
 }  // namespace pnoc::scenario::dispatch

@@ -7,7 +7,6 @@
 #include "network/network.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/in_process_backend.hpp"
-#include "scenario/subprocess_backend.hpp"
 
 namespace pnoc::scenario {
 namespace {
@@ -100,6 +99,23 @@ metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec) {
   return options;
 }
 
+void throwBatchFailure(const std::map<std::size_t, std::string>& jobFailures,
+                       std::size_t jobCount,
+                       const std::vector<std::string>& otherFailures) {
+  std::string what =
+      jobFailures.empty()
+          ? otherFailures.front()
+          : "job " + std::to_string(jobFailures.begin()->first) + ": " +
+                jobFailures.begin()->second;
+  const std::size_t more = jobFailures.size() + otherFailures.size() - 1;
+  if (more != 0) what += " (+" + std::to_string(more) + " more failures)";
+  if (!jobFailures.empty()) {
+    what += "; " + std::to_string(jobFailures.size()) + " of " +
+            std::to_string(jobCount) + " job(s) unanswered";
+  }
+  throw std::runtime_error(what);
+}
+
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount) {
   unsigned workers = requested;
   if (workers == 0) {
@@ -120,25 +136,16 @@ unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount) {
 
 BackendKind parseBackendKind(const std::string& value) {
   if (value == "threads") return BackendKind::kThreads;
-  if (value == "processes") return BackendKind::kProcesses;
-  if (value == "stream") return BackendKind::kStream;
+  if (value == "stream" || value == "processes") return BackendKind::kStream;
   throw std::invalid_argument("'" + value +
                               "' is not a backend (threads | processes | stream)");
 }
 
 std::string toString(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kProcesses: return "processes";
-    case BackendKind::kStream: return "stream";
-    case BackendKind::kThreads: break;
-  }
-  return "threads";
+  return kind == BackendKind::kStream ? "stream" : "threads";
 }
 
 std::unique_ptr<ExecutionBackend> makeBackend(const BackendOptions& options) {
-  if (options.kind == BackendKind::kProcesses) {
-    return std::make_unique<SubprocessBackend>(options.workers);
-  }
   if (options.kind == BackendKind::kStream) {
     if (!options.hosts.empty()) {
       return std::make_unique<dispatch::StreamingBackend>(options.hosts,

@@ -2,15 +2,19 @@
 //
 // A backend takes a batch of declarative ScenarioSpecs and produces results
 // indexed exactly like the input — *how* the batch executes (threads in this
-// process, worker subprocesses, some future remote fleet) is the backend's
+// process, a fleet of worker processes local or remote) is the backend's
 // business and must never change a single number.  Two implementations ship:
 //
 //   InProcessBackend   - std::thread pool in this address space (the default)
-//   SubprocessBackend  - shards the batch across N re-exec'd worker processes
-//                        speaking newline-delimited JSON on stdin/stdout
-//   StreamingBackend   - persistent worker pool (dispatch/): jobs stream one
-//                        NDJSON line at a time to whichever worker is free,
-//                        over local processes or hosts-file transports
+//   StreamingBackend   - the worker fleet (dispatch/): jobs stream one NDJSON
+//                        line at a time to whichever persistent worker is
+//                        free, over local processes or hosts-file transports
+//                        (`backend=stream`; `backend=processes` is another
+//                        spelling of it)
+//
+// Both share one error contract: the observer fires per completed job, and
+// without fail_soft the failed jobs are reported after the batch in one
+// exception naming the lowest failed job (throwBatchFailure).
 //
 // The primitive is execute() over mixed ScenarioJob batches (fixed-load runs
 // and saturation searches can share one dispatch); run()/findPeaks() are the
@@ -21,6 +25,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -77,11 +82,11 @@ struct BackendCapabilities {
 
 class ExecutionBackend {
  public:
-  /// Completed-job notification: (job index, its outcome).  A backend MAY
-  /// invoke the observer as each job finishes — StreamingBackend does, from
-  /// the caller's thread, which is what lets pnoc_run checkpoint a grid
-  /// mid-flight; the batch backends only deliver results at the end and
-  /// never call it.
+  /// Completed-job notification: (job index, its outcome).  Every backend
+  /// invokes it as each job finishes, one call at a time — StreamingBackend
+  /// from the caller's thread, InProcessBackend from its pool threads under
+  /// a mutex — which is what lets pnoc_run checkpoint a grid mid-flight.
+  /// Failed jobs reach it only as fail_soft failure outcomes.
   using OutcomeObserver = std::function<void(std::size_t, const ScenarioOutcome&)>;
 
   virtual ~ExecutionBackend() = default;
@@ -98,8 +103,8 @@ class ExecutionBackend {
   /// (environment defaults and batch-size clamping applied).
   virtual unsigned workersFor(std::size_t jobCount) const = 0;
 
-  /// Executes a mixed batch; results indexed like `jobs`.  The first job
-  /// failure surfaces as an exception after the batch completes.
+  /// Executes a mixed batch; results indexed like `jobs`.  Job failures
+  /// surface as one exception after the batch completes (throwBatchFailure).
   virtual std::vector<ScenarioOutcome> execute(const std::vector<ScenarioJob>& jobs) = 0;
 
   /// Typed batch APIs over execute(); results indexed like `specs`.
@@ -124,6 +129,14 @@ metrics::PeakSearchResult findScenarioPeak(const ScenarioSpec& spec);
 /// set's wavelength budget so every set's knee is bracketed from below.
 metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec);
 
+/// The error contract every backend shares, thrown after the batch: the
+/// lowest failed job ("job 1: <cause>"), a count of the other failures, and
+/// how many jobs went unanswered.  `jobFailures` maps job index -> cause;
+/// `otherFailures` belong to no single job (a worker's unclean exit).
+[[noreturn]] void throwBatchFailure(
+    const std::map<std::size_t, std::string>& jobFailures, std::size_t jobCount,
+    const std::vector<std::string>& otherFailures = {});
+
 /// The one worker-count policy (both backends, every caller):
 ///   requested == 0  ->  PNOC_BENCH_THREADS if set to a positive integer,
 ///                       else std::thread::hardware_concurrency(), min 1.
@@ -131,10 +144,11 @@ metrics::PeakSearchOptions peakOptionsFor(const ScenarioSpec& spec);
 ///   uses 3 workers), with a floor of 1.
 unsigned resolveWorkerCount(unsigned requested, std::size_t jobCount);
 
-enum class BackendKind { kThreads, kProcesses, kStream };
+enum class BackendKind { kThreads, kStream };
 
-/// Parses "threads" | "processes" | "stream" (the `backend=` CLI value);
-/// throws std::invalid_argument otherwise.
+/// Parses "threads" | "processes" | "stream" (the `backend=` CLI value;
+/// "processes" is another spelling of "stream"); throws
+/// std::invalid_argument otherwise.
 BackendKind parseBackendKind(const std::string& value);
 std::string toString(BackendKind kind);
 
@@ -151,7 +165,7 @@ struct BackendOptions {
   std::vector<dispatch::HostEntry> hosts;
   /// Fault policy for backend=stream: hosts-file "policy" object first,
   /// individual CLI keys (retries=, job_deadline_ms=, ...) layered on top.
-  /// The batch backends ignore it.  (Appended last so existing positional
+  /// The thread pool ignores it.  (Appended last so existing positional
   /// aggregate initializations keep meaning what they meant.)
   dispatch::FaultPolicy policy;
 };

@@ -1,10 +1,10 @@
 // Deterministic fault injection for the dispatch layer's tests and smokes.
 //
 // PNOC_TEST_FAULT=<spec> makes a protocol worker misbehave in a precisely
-// scripted way when it receives a given job index — the generalization of
-// PR 4's one-off PNOC_TEST_STREAM_CRASH lockfile hook.  The worker loop
-// (runWorkerLoop) consults this module around every job; the parent-side
-// pool never reads the variable, so every injected fault exercises the REAL
+// scripted way when it receives a given wire index (a batch job's index in
+// its batch, on every retry).  The worker loop (runWorkerLoop) consults
+// this module around every job; the parent-side fleet never reads the
+// variable, so every injected fault exercises the REAL
 // recovery paths: death detection, deadline kills, retry/backoff, respawn,
 // fail-soft degradation.
 //
@@ -13,7 +13,7 @@
 //
 //   <kind>@<index>[:opt=val]...
 //
-//   kind    crash      _exit before replying (like PNOC_TEST_STREAM_CRASH)
+//   kind    crash      _exit before replying
 //           hang       never reply: sleep until killed (ignoreterm=1 also
 //                      ignores SIGTERM, forcing the SIGKILL escalation)
 //           garbage    emit a non-JSON line instead of the reply

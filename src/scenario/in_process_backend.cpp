@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <exception>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -41,7 +42,22 @@ void InProcessBackend::forEach(std::size_t n,
 std::vector<ScenarioOutcome> InProcessBackend::execute(
     const std::vector<ScenarioJob>& jobs) {
   std::vector<ScenarioOutcome> outcomes(jobs.size());
-  forEach(jobs.size(), [&](std::size_t i) { outcomes[i] = executeJob(jobs[i]); });
+  std::map<std::size_t, std::string> failures;
+  std::mutex mutex;  // serialises the observer and the failure map
+  forEach(jobs.size(), [&](std::size_t i) {
+    try {
+      outcomes[i] = executeJob(jobs[i]);
+    } catch (const std::exception& error) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      failures.emplace(i, error.what());
+      return;
+    }
+    if (observer_) {
+      const std::lock_guard<std::mutex> lock(mutex);
+      observer_(i, outcomes[i]);
+    }
+  });
+  if (!failures.empty()) throwBatchFailure(failures, jobs.size());
   return outcomes;
 }
 

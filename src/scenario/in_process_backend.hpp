@@ -1,10 +1,12 @@
 // InProcessBackend: scenario execution on a std::thread pool in this address
-// space (the absorbed ScenarioRunner pool, now one of two ExecutionBackend
-// implementations).
+// space (`backend=threads`, one of the two ExecutionBackend implementations).
 //
 // Scenario jobs are embarrassingly parallel — each builds its own
 // PhotonicNetwork (own engine, RNG streams, packet slab) — and results land
-// by index, so thread count and scheduling cannot change any number.
+// by index, so thread count and scheduling cannot change any number.  The
+// error contract is the worker fleet's: the observer fires per completed
+// job (serialised under a mutex), and failed jobs are reported after the
+// batch through throwBatchFailure.
 #pragma once
 
 #include <functional>

@@ -3,9 +3,9 @@
 //
 // Callers describe WHAT to run (ScenarioSpecs) and, via BackendOptions,
 // WHERE it runs: a std::thread pool in this process (backend=threads, the
-// default), a fleet of re-exec'd worker subprocesses speaking the JSON
-// wire protocol (backend=processes), or a streaming worker pool dealing
-// jobs dynamically across local or multi-host transports (backend=stream).
+// default), or a fleet of persistent worker processes dealing jobs
+// dynamically across local or multi-host transports (backend=stream, also
+// spelled backend=processes).
 // Results are merged by index and are bit-identical across backends and
 // worker counts — the choice is purely about address spaces and
 // scheduling, never about numbers.

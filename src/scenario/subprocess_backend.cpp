@@ -1,100 +1,19 @@
 #include "scenario/subprocess_backend.hpp"
 
-#include <cerrno>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
+#include <cstdio>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
-#include <thread>
-#include <utility>
-#include <vector>
+#include <string>
 
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include "scenario/dispatch/worker_transport.hpp"
 #include "scenario/fault_injection.hpp"
 #include "scenario/wire.hpp"
 
 namespace pnoc::scenario {
 namespace {
 
-using dispatch::WorkerConnection;
-
-struct Worker {
-  WorkerConnection conn;
-  std::vector<std::size_t> jobIndices;  // round-robin share of the batch
-};
-
-/// Owns the worker processes for one execute() call.  The destructor is the
-/// error-path cleanup: closing the pipes gives every still-running child
-/// stdin EOF (or EPIPE on its replies), after which the blocking reap
-/// returns promptly — a spawn or write failure mid-batch must not leak live
-/// workers into a long-lived host process.
-struct WorkerPool {
-  std::vector<Worker> workers;
-
-  ~WorkerPool() {
-    for (Worker& worker : workers) {
-      dispatch::closeConnection(worker.conn);
-      dispatch::reapWorker(worker.conn);
-    }
-  }
-};
-
-std::string readAll(int fd) {
-  std::string out;
-  char buffer[65536];
-  for (;;) {
-    const ssize_t n = ::read(fd, buffer, sizeof buffer);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw std::runtime_error(std::string("SubprocessBackend: read failed: ") +
-                               std::strerror(errno));
-    }
-    if (n == 0) return out;
-    out.append(buffer, static_cast<std::size_t>(n));
-  }
-}
-
-std::string joinIndices(const std::vector<std::size_t>& indices) {
-  std::string out;
-  for (const std::size_t i : indices) {
-    if (!out.empty()) out += ",";
-    out += std::to_string(i);
-  }
-  return out;
-}
-
-/// Test hook for the worker-death paths (see dispatch tests): when
-/// PNOC_TEST_STREAM_CRASH is "<index>" or "<index>:<path>", a worker
-/// receiving that job index dies abruptly (_exit) BEFORE replying — with a
-/// path, only the first worker to claim the O_EXCL lock file dies, so a
-/// retried job survives on a sibling.  An "after:" prefix flips the timing:
-/// the worker replies first and dies idle (the tolerated-death path).
-void maybeCrashForTest(std::size_t index, bool afterReply) {
-  const char* trigger = std::getenv("PNOC_TEST_STREAM_CRASH");
-  if (trigger == nullptr) return;
-  std::string spec(trigger);
-  const bool wantsAfter = spec.rfind("after:", 0) == 0;
-  if (wantsAfter != afterReply) return;
-  if (wantsAfter) spec.erase(0, 6);
-  const std::size_t colon = spec.find(':');
-  if (std::to_string(index) != spec.substr(0, colon)) return;
-  if (colon != std::string::npos) {
-    const int fd = ::open(spec.substr(colon + 1).c_str(),
-                          O_CREAT | O_EXCL | O_WRONLY, 0600);
-    if (fd < 0) return;  // a sibling already died here; survive this time
-    ::close(fd);
-  }
-  ::_exit(57);
-}
-
-/// One job line in, one reply line out (shared by both worker modes).
-/// Returns the exit-code contribution: nonzero only for protocol corruption.
+/// One job line in, one flushed reply line out.  Returns the exit-code
+/// contribution: nonzero only for protocol corruption.
 int processJobLine(const std::string& jobText, std::ostream& out) {
   std::size_t index = 0;
   ScenarioJob job;
@@ -103,10 +22,9 @@ int processJobLine(const std::string& jobText, std::ostream& out) {
   } catch (const std::exception& error) {
     // An unparseable job line is protocol corruption: report what we can
     // in-band and poison the worker's exit status.
-    out << wire::errorLine(index, error.what()) << "\n";
+    out << wire::errorLine(index, error.what()) << "\n" << std::flush;
     return 1;
   }
-  maybeCrashForTest(index, /*afterReply=*/false);
   // Deterministic fault injection (PNOC_TEST_FAULT, fault_injection.hpp):
   // the matching clause — if any — is claimed before the job runs, then
   // drives the worker through exactly one failure mode around the reply.
@@ -125,7 +43,6 @@ int processJobLine(const std::string& jobText, std::ostream& out) {
   }
   out.flush();
   if (fault != nullptr) testfault::applyPostReplyFault(*fault);
-  maybeCrashForTest(index, /*afterReply=*/true);
   return 0;
 }
 
@@ -135,178 +52,20 @@ int runWorkerLoop(std::istream& in, std::ostream& out) {
   std::string line;
   if (!std::getline(in, line)) return 0;  // empty session
 
-  // A streaming hello as the FIRST line switches protocols: ack
-  // immediately, then reply (and flush) per job so the dispatcher can deal
-  // the next job the moment this one finishes.
   int version = 0;
-  if (wire::parseStreamHello(line, version)) {
-    out << wire::streamAckLine() << "\n" << std::flush;
-    int exitCode = 0;
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      exitCode |= processJobLine(line, out);
-      out.flush();
-    }
-    return exitCode;
+  if (!wire::parseStreamHello(line, version)) {
+    std::fprintf(stderr,
+                 "pnoc worker: protocol error: the first line must be the"
+                 " streaming hello, got '%.80s'\n",
+                 line.c_str());
+    return 2;
   }
-
-  // Batch protocol: the first line was already a job.  Slurp every job
-  // before emitting anything — that silence-until-EOF is the invariant that
-  // keeps parent and worker from deadlocking on full pipes.
-  std::vector<std::string> lines;
-  if (!line.empty()) lines.push_back(line);
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
+  out << wire::streamAckLine() << "\n" << std::flush;
   int exitCode = 0;
-  for (const std::string& jobText : lines) {
-    exitCode |= processJobLine(jobText, out);
+  while (std::getline(in, line)) {
+    if (!line.empty()) exitCode |= processJobLine(line, out);
   }
-  out.flush();
   return exitCode;
-}
-
-SubprocessBackend::SubprocessBackend(unsigned shards, std::string workerExecutable)
-    : shards_(shards), workerExecutable_(std::move(workerExecutable)) {}
-
-std::vector<ScenarioOutcome> SubprocessBackend::execute(
-    const std::vector<ScenarioJob>& jobs) {
-  if (jobs.empty()) return {};
-  // A worker that died mid-batch must not take the parent down with SIGPIPE;
-  // writeAll() turns the resulting EPIPE into a reported failure instead.
-  static const bool sigpipeIgnored = [] {
-    std::signal(SIGPIPE, SIG_IGN);
-    return true;
-  }();
-  (void)sigpipeIgnored;
-
-  const dispatch::LocalProcessTransport transport(workerExecutable_);
-  const unsigned shardCount = workersFor(jobs.size());
-
-  WorkerPool pool;  // reaps and closes on every exit path
-  std::vector<Worker>& workers = pool.workers;
-  workers.reserve(shardCount);
-  for (unsigned s = 0; s < shardCount; ++s) {
-    workers.push_back(Worker{transport.launch(), {}});
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    workers[i % shardCount].jobIndices.push_back(i);
-  }
-
-  // Ship every shard.  Workers stay silent until their stdin closes, so all
-  // writes complete before any stdout pipe can fill.
-  std::vector<std::string> failures;
-  for (Worker& worker : workers) {
-    std::string payload;
-    for (const std::size_t i : worker.jobIndices) {
-      payload += wire::jobLine(i, jobs[i]) + "\n";
-    }
-    const bool delivered = dispatch::writeAllToWorker(worker.conn.stdinFd, payload);
-    ::close(worker.conn.stdinFd);
-    worker.conn.stdinFd = -1;
-    if (!delivered) {
-      failures.push_back("worker " + std::to_string(worker.conn.pid) +
-                         " closed stdin early");
-    }
-  }
-
-  // Harvest every stdout concurrently: a worker streams replies as it
-  // computes, and once its pipe fills it blocks until drained — reading the
-  // workers one at a time would stall every later worker behind the first.
-  std::vector<std::string> outputs(workers.size());
-  std::vector<std::string> readFailures(workers.size());
-  {
-    std::vector<std::thread> readers;
-    readers.reserve(workers.size());
-    for (std::size_t w = 0; w < workers.size(); ++w) {
-      readers.emplace_back([&, w] {
-        try {
-          outputs[w] = readAll(workers[w].conn.stdoutFd);
-        } catch (const std::exception& error) {
-          readFailures[w] = error.what();
-        }
-      });
-    }
-    for (std::thread& reader : readers) reader.join();
-  }
-
-  std::vector<ScenarioOutcome> outcomes(jobs.size());
-  std::vector<bool> filled(jobs.size(), false);
-  for (std::size_t w = 0; w < workers.size(); ++w) {
-    Worker& worker = workers[w];
-    const pid_t pid = worker.conn.pid;
-    ::close(worker.conn.stdoutFd);
-    worker.conn.stdoutFd = -1;
-    const int status = dispatch::reapWorker(worker.conn);
-    if (status < 0) {
-      // A stale status of 0 must not pass for a clean exit.
-      failures.push_back("worker " + std::to_string(pid) + " could not be reaped: " +
-                         std::strerror(errno));
-      continue;
-    }
-    if (!readFailures[w].empty()) {
-      failures.push_back("worker read failed: " + readFailures[w]);
-    }
-    const std::string& output = outputs[w];
-
-    std::size_t begin = 0;
-    while (begin < output.size()) {
-      std::size_t end = output.find('\n', begin);
-      if (end == std::string::npos) end = output.size();
-      const std::string replyText = output.substr(begin, end - begin);
-      begin = end + 1;
-      if (replyText.empty()) continue;
-      try {
-        wire::WorkerReply reply = wire::parseReplyLine(replyText);
-        if (reply.index >= jobs.size()) {
-          failures.push_back("worker replied for out-of-range job index " +
-                             std::to_string(reply.index));
-          continue;
-        }
-        if (!reply.ok) {
-          failures.push_back("job " + std::to_string(reply.index) + ": " +
-                             reply.error);
-          continue;
-        }
-        reply.outcome.spec = jobs[reply.index].spec;
-        outcomes[reply.index] = std::move(reply.outcome);
-        filled[reply.index] = true;
-      } catch (const std::exception& error) {
-        failures.push_back(std::string("unparseable worker reply: ") + error.what());
-      }
-    }
-    if (!(WIFEXITED(status) && WEXITSTATUS(status) == 0)) {
-      // Name the jobs this worker was carrying that never got a reply — the
-      // whole point of failing loudly is telling the operator exactly what
-      // was lost and where.
-      std::vector<std::size_t> lost;
-      for (const std::size_t i : worker.jobIndices) {
-        if (!filled[i]) lost.push_back(i);
-      }
-      std::string what = "worker " + std::to_string(pid) + " " +
-                         dispatch::describeWaitStatus(status);
-      if (!lost.empty()) {
-        what += " with job(s) " + joinIndices(lost) + " unanswered";
-      }
-      failures.push_back(std::move(what));
-    }
-  }
-
-  std::vector<std::size_t> missing;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!filled[i]) missing.push_back(i);
-  }
-  if (!missing.empty()) {
-    failures.push_back("job(s) " + joinIndices(missing) + " produced no result");
-  }
-  if (!failures.empty()) {
-    std::string what = "SubprocessBackend: " + failures[0];
-    if (failures.size() > 1) {
-      what += " (+" + std::to_string(failures.size() - 1) + " more failures)";
-    }
-    throw std::runtime_error(what);
-  }
-  return outcomes;
 }
 
 }  // namespace pnoc::scenario

@@ -1,64 +1,23 @@
-// SubprocessBackend: scenario execution sharded across worker processes.
-//
-// The batch is dealt round-robin to N workers, each a re-exec of this very
-// executable with the single argument `--pnoc-worker` (scenario::Cli and the
-// test main recognize it).  Jobs travel to a worker as newline-delimited
-// JSON on stdin; results come back the same way on stdout and are merged by
-// index — bit-identical to in-process execution, because the wire format
-// round-trips every counter and double exactly (see wire.hpp).
-//
-// Writes and reads never deadlock by construction: a worker reads ALL of
-// stdin to EOF before producing output, so the parent finishes writing every
-// shard before any pipe fills with results; the parent then drains all
-// worker stdouts concurrently (one reader thread each), so a worker whose
-// replies outgrow the pipe buffer never stalls behind its siblings.  Worker
-// stderr passes through to the parent's stderr.  The first failed job (or
-// dead worker) surfaces as a std::runtime_error after the whole batch is
-// collected.
-//
-// POSIX-only (fork/exec/pipes), like the rest of the build.  Writing to an
-// exited worker must not kill the parent, so the first execute() call
-// ignores SIGPIPE process-wide (EPIPE is then handled per write).
+// The worker side of the dispatch protocol: what a scenario binary becomes
+// when a worker fleet (dispatch/fleet.hpp) re-execs it with `--pnoc-worker`
+// (scenario::Cli, the test main and the perfbench harness recognize the
+// flag).  Jobs arrive as newline-delimited JSON on stdin and each reply is
+// flushed to stdout as soon as its job finishes (wire.hpp).
 #pragma once
 
 #include <iosfwd>
-#include <string>
-
-#include "scenario/execution_backend.hpp"
 
 namespace pnoc::scenario {
 
 /// The argv[1] that turns any scenario binary into a protocol worker.
 inline constexpr const char* kWorkerFlag = "--pnoc-worker";
 
-/// The worker side of the protocol.  Two modes, switched by the FIRST stdin
-/// line: a streaming hello (wire::streamHelloLine) selects the streaming
-/// protocol — ack immediately, then one flushed reply per job line as it
-/// arrives (dispatch/StreamingWorkerPool's side of the deal); anything else
-/// is the first job of a batch session — read ALL lines to EOF, then reply.
-/// Returns the process exit code (non-zero only on protocol corruption;
-/// per-job failures become error replies).
+/// The worker loop.  The FIRST stdin line must be the streaming hello
+/// (wire::streamHelloLine): the worker acks it at once, then replies — and
+/// flushes — per job line as it arrives, until stdin EOF.  Returns the
+/// process exit code: nonzero on protocol corruption (a first line that is
+/// not the hello, an unparseable job line); per-job simulation failures
+/// become in-band error replies.
 int runWorkerLoop(std::istream& in, std::ostream& out);
-
-class SubprocessBackend : public ExecutionBackend {
- public:
-  /// `shards` == 0: auto (see resolveWorkerCount).  `workerExecutable`
-  /// empty: re-exec the running binary (/proc/self/exe).
-  explicit SubprocessBackend(unsigned shards = 0, std::string workerExecutable = "");
-
-  std::string name() const override { return "processes"; }
-  BackendCapabilities capabilities() const override {
-    return BackendCapabilities{/*crossProcess=*/true, /*deterministicMerge=*/true};
-  }
-  unsigned workersFor(std::size_t jobCount) const override {
-    return resolveWorkerCount(shards_, jobCount);
-  }
-
-  std::vector<ScenarioOutcome> execute(const std::vector<ScenarioJob>& jobs) override;
-
- private:
-  unsigned shards_;
-  std::string workerExecutable_;
-};
 
 }  // namespace pnoc::scenario

@@ -5,7 +5,7 @@
 // protocol lines all serialize to single-line JSON that round-trips
 // BYTE-IDENTICALLY (doubles via shortest-exact formatting, 64-bit counters
 // as decimal integers, histograms as sparse bucket pairs).  That exactness
-// is what lets SubprocessBackend promise bit-identical merged results: a
+// is what lets the worker fleet promise bit-identical merged results: a
 // metric that crossed a process boundary is indistinguishable from one
 // computed in-process.
 //
@@ -14,8 +14,8 @@
 //   worker -> parent   {"index":N,"op":"run","metrics":{...}}
 //                      {"index":N,"op":"peak","search":{...}}
 //                      {"index":N,"error":"<what>"}
-// The worker reads ALL jobs until stdin EOF before emitting anything, so
-// parent and worker never write concurrently on a full pipe.
+// Each session opens with the streaming handshake below; after it, the
+// worker flushes one reply per job line, in order, as each job finishes.
 #pragma once
 
 #include <cstddef>
@@ -42,15 +42,15 @@ ScenarioResult scenarioResultFromJson(const std::string& json);
 std::string toJson(const ScenarioPeak& peak);
 ScenarioPeak scenarioPeakFromJson(const std::string& json);
 
-// --- streaming handshake (dispatch/streaming_worker_pool) ---
+// --- streaming handshake (dispatch/fleet) ---
 //
-// The batch protocol above needs no preamble: the worker slurps stdin to
-// EOF.  The streaming protocol keeps stdin open and deals one job at a
-// time, so both sides must agree to reply per line *before* the first job
-// — the parent's first stdin line is a hello carrying the protocol
-// version, the worker's first stdout line is the matching ack.  A version
-// mismatch (or anything else where the ack should be) fails the dispatch
-// loudly instead of hanging on a worker that will never flush.
+// The fleet keeps stdin open and deals one job at a time, so both sides
+// must agree to reply per line *before* the first job — the parent's first
+// stdin line is a hello carrying the protocol version, the worker's first
+// stdout line is the matching ack.  A version mismatch (or anything else
+// where the ack should be) retires the worker loudly instead of hanging on
+// one that will never flush; a worker whose first line is not a hello
+// exits nonzero with a protocol error.
 
 inline constexpr int kStreamProtocolVersion = 1;
 
@@ -58,8 +58,7 @@ inline constexpr int kStreamProtocolVersion = 1;
 std::string streamHelloLine();
 /// Worker -> parent, the first stdout line (carries the worker's version).
 std::string streamAckLine();
-/// True when `line` is a streaming hello (any version — the worker-side
-/// mode switch); fills `version`.
+/// True when `line` is a streaming hello (any version); fills `version`.
 bool parseStreamHello(const std::string& line, int& version);
 /// Validates a worker's ack line; throws std::runtime_error naming the
 /// problem when the line is not an ack or its version differs from ours.

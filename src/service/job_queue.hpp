@@ -29,15 +29,13 @@
 #include <string>
 #include <vector>
 
+#include "scenario/dispatch/fleet.hpp"
 #include "scenario/execution_backend.hpp"
 
 namespace pnoc::service {
 
 /// Names one unit: job id + index into that job's grid.
-struct UnitRef {
-  std::uint64_t job = 0;
-  std::size_t unit = 0;
-};
+using UnitRef = scenario::dispatch::UnitRef;
 
 enum class UnitState { kPending, kDispatched, kDone, kCanceled };
 

@@ -589,7 +589,7 @@ void ServeDaemon::handleFleetRemove(Session& session,
                                     const scenario::JsonValue& request) {
   const std::uint64_t worker = request.at("worker").asU64();
   std::string error;
-  if (!fleet_->removeWorker(static_cast<std::size_t>(worker), nowMs(), &error)) {
+  if (!fleet_->removeWorker(static_cast<std::size_t>(worker), &error)) {
     send(session, errorReplyLine(error));
     return;
   }
@@ -608,6 +608,9 @@ std::optional<FleetUnit> ServeDaemon::nextUnit() {
   FleetUnit unit;
   unit.ref = *ref;
   unit.job = scenario::ScenarioJob{job->op, job->grid[ref->unit]};
+  // A running sequence number: unique across every job the daemon serves,
+  // and kept by the fleet across the unit's retries.
+  unit.wireIndex = nextWireIndex_++;
   return unit;
 }
 
@@ -742,7 +745,7 @@ std::string ServeDaemon::statusJson() const {
     out += ",\"respawns\":" + std::to_string(worker.respawns);
     out += "}";
   }
-  const FleetManager::Stats& stats = fleet_->stats();
+  const FleetManager::Stats stats = fleet_->stats();
   out += "],\"stats\":{";
   out += "\"retries\":" + std::to_string(stats.retries);
   out += ",\"respawns\":" + std::to_string(stats.respawns);

@@ -1,6 +1,7 @@
 // ServeDaemon: the pnoc_serve service — a persistent scheduler daemon on a
 // Unix-domain socket, serving many concurrent clients from one shared
-// elastic worker fleet.
+// elastic worker fleet (scenario/dispatch/fleet.hpp — the same executor
+// backend=stream drives for one batch).
 //
 // One single-threaded poll loop owns everything: the listening socket,
 // every client session, every worker pipe, the interrupt self-pipe and the
@@ -55,11 +56,14 @@
 #include "obs/trace.hpp"
 #include "scenario/execution_backend.hpp"
 #include "scenario/json_util.hpp"
-#include "service/fleet.hpp"
+#include "scenario/dispatch/fleet.hpp"
 #include "service/job_queue.hpp"
 #include "service/journal.hpp"
 
 namespace pnoc::service {
+
+using scenario::dispatch::FleetManager;
+using scenario::dispatch::FleetUnit;
 
 struct ServeOptions {
   std::string socketPath;
@@ -149,6 +153,7 @@ class ServeDaemon {
   JobQueue queue_;
   QueueJournal journal_;
   std::unique_ptr<FleetManager> fleet_;
+  std::size_t nextWireIndex_ = 0;  // daemon-unique wire index per dealt unit
   obs::Registry registry_;
   std::unique_ptr<obs::TraceWriter> trace_;
   obs::Counter eventsTotal_;

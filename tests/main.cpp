@@ -1,9 +1,10 @@
-// Test main: plain gtest, plus the subprocess worker hook.
+// Test main: plain gtest, plus the worker hook.
 //
-// pnoc_tests doubles as its own SubprocessBackend worker executable — the
-// backend re-execs /proc/self/exe with --pnoc-worker, so the determinism
-// tests (subprocess results == in-process results) run entirely against the
-// binary ctest already built.
+// pnoc_tests doubles as its own worker executable — the worker fleet
+// (backend=stream / processes, and the pnoc_serve daemon) re-execs
+// /proc/self/exe with --pnoc-worker, so the determinism tests (worker
+// results == in-process results) run entirely against the binary ctest
+// already built.
 #include <gtest/gtest.h>
 
 #include <iostream>

@@ -21,17 +21,13 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "scenario/dispatch/fault_policy.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
-#include "scenario/dispatch/streaming_worker_pool.hpp"
-#include "scenario/dispatch/worker_transport.hpp"
 #include "scenario/fault_injection.hpp"
 #include "scenario/in_process_backend.hpp"
-#include "scenario/subprocess_backend.hpp"
 #include "scenario/wire.hpp"
 
 namespace pnoc::scenario {
@@ -416,80 +412,71 @@ TEST(FaultMatrix, LaunchFailureDegradesOntoTheSurvivingHost) {
   EXPECT_EQ(streaming.lastStats().launchFailures, 1u);
 }
 
-// --- concurrent launch ---
+// --- fleet connect ---
+//
+// Launching a worker only forks and execs; the connect budget runs on the
+// handshake ack, which every worker of a fleet answers in parallel.  A
+// slow-connecting host (an ssh that takes its time) is modelled by a
+// launcher that sleeps in the child before exec'ing the real worker.  The
+// timeout tests slow every reply so the batch outlasts the 200 ms budget.
 
-/// A transport whose launch() blocks for a fixed time before producing a
-/// real local worker — the stand-in for a slow-connecting ssh host.
-class BlockingTransport : public dispatch::WorkerTransport {
- public:
-  explicit BlockingTransport(unsigned delayMs, std::string name = "sleepy host")
-      : delayMs_(delayMs), name_(std::move(name)) {}
-  std::string describe() const override { return name_; }
-  dispatch::WorkerConnection launch() const override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(delayMs_));
-    return dispatch::spawnWorkerProcess(
-        {dispatch::selfExecutablePath(), kWorkerFlag}, describe());
-  }
-
- private:
-  unsigned delayMs_;
-  std::string name_;
-};
-
-TEST(ConcurrentLaunch, FleetStartsInMaxNotSumOfConnectTimes) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  for (int t = 0; t < 4; ++t) {
-    transports.push_back(std::make_unique<BlockingTransport>(400));
-  }
-  const auto start = std::chrono::steady_clock::now();
-  auto outcomes = dispatch::launchConcurrently(transports, 5000);
-  const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-  ASSERT_EQ(outcomes.size(), 4u);
-  for (auto& outcome : outcomes) {
-    ASSERT_TRUE(outcome.connection.has_value()) << outcome.error;
-    dispatch::terminateWorker(*outcome.connection, 1000);
-  }
-  // Serial connects would take >= 1600 ms; concurrent ones ~400 ms.  The
-  // generous bound keeps the assertion meaningful on a loaded CI box.
-  EXPECT_LT(elapsedMs, 1000) << "fleet launch must be concurrent, not serial";
+HostEntry sleepyHost(const std::string& seconds, unsigned workers = 1,
+                     std::uint64_t connectTimeoutMs = 0) {
+  HostEntry host{{"sh", "-c", "sleep " + seconds + "; exec \"$0\" \"$@\""},
+                 workers, ""};
+  host.connectTimeoutMs = connectTimeoutMs;
+  return host;
 }
 
-TEST(ConcurrentLaunch, PerHostTimeoutIsReportedByNameWhileTheFleetProceeds) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  transports.push_back(std::make_unique<BlockingTransport>(3000, "glacial host"));
-  transports.back()->setConnectTimeoutMs(200);
-  transports.push_back(std::make_unique<dispatch::LocalProcessTransport>());
+TEST(FleetConnect, FleetStartsInMaxNotSumOfConnectTimes) {
+  const auto jobs = smallBatch(415, 4);
+  StreamingBackend streaming(std::vector<HostEntry>{sleepyHost("0.4", 4)},
+                             quickPolicy());
   const auto start = std::chrono::steady_clock::now();
-  auto outcomes = dispatch::launchConcurrently(transports, 5000);
+  const auto actual = streaming.execute(jobs);
   const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-  ASSERT_EQ(outcomes.size(), 2u);
-  EXPECT_FALSE(outcomes[0].connection.has_value());
-  EXPECT_NE(outcomes[0].error.find("glacial host"), std::string::npos)
-      << outcomes[0].error;
-  EXPECT_NE(outcomes[0].error.find("did not connect within 200 ms"),
+  expectSameOutcomes(actual, inProcessReference(jobs), "sleepy fleet");
+  EXPECT_EQ(streaming.lastStats().launchFailures, 0u);
+  // Serial connects would take >= 1600 ms; parallel ones ~400 ms plus four
+  // tiny jobs.  The generous bound keeps the assertion meaningful on a
+  // loaded CI box.
+  EXPECT_LT(elapsedMs, 1000) << "fleet connect must be parallel, not serial";
+}
+
+TEST(FleetConnect, PerHostTimeoutIsReportedByNameWhileTheFleetProceeds) {
+  ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=150");
+  const auto jobs = smallBatch(418, 2);
+  StreamingBackend streaming(
+      std::vector<HostEntry>{sleepyHost("3", 1, 200), HostEntry{{}, 1, ""}},
+      quickPolicy());
+  ::testing::internal::CaptureStderr();
+  const auto start = std::chrono::steady_clock::now();
+  const auto actual = streaming.execute(jobs);
+  const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  ASSERT_EQ(actual.size(), jobs.size());
+  EXPECT_NE(log.find("sh -c sleep 3"), std::string::npos) << log;
+  EXPECT_NE(log.find("did not acknowledge the streaming protocol within 200 ms"),
             std::string::npos)
-      << outcomes[0].error;
-  ASSERT_TRUE(outcomes[1].connection.has_value()) << outcomes[1].error;
-  dispatch::terminateWorker(*outcomes[1].connection, 1000);
+      << log;
   EXPECT_LT(elapsedMs, 2500)
-      << "the glacial host's own launch() must not gate the fleet";
+      << "the slow host's own connect time must not gate the fleet";
 }
 
-TEST(ConcurrentLaunch, TimedOutHostIsDroppedAndTheBatchCompletesElsewhere) {
-  std::vector<std::unique_ptr<dispatch::WorkerTransport>> transports;
-  transports.push_back(std::make_unique<BlockingTransport>(3000, "glacial host"));
-  transports.back()->setConnectTimeoutMs(200);
-  transports.push_back(std::make_unique<dispatch::LocalProcessTransport>());
+TEST(FleetConnect, TimedOutHostIsDroppedAndTheBatchCompletesElsewhere) {
+  ScopedEnv fault("PNOC_TEST_FAULT", "slow@*:ms=150");
   const auto jobs = smallBatch(420, 3);
   const auto expected = inProcessReference(jobs);
-  dispatch::StreamingWorkerPool pool(std::move(transports), quickPolicy());
-  const auto actual = pool.execute(jobs);
+  StreamingBackend streaming(
+      std::vector<HostEntry>{sleepyHost("3", 1, 200), HostEntry{{}, 1, ""}},
+      quickPolicy());
+  const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "timed-out host");
-  EXPECT_EQ(pool.stats().launchFailures, 1u);
+  EXPECT_EQ(streaming.lastStats().launchFailures, 1u);
 }
 
 }  // namespace

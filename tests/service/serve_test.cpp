@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "scenario/dispatch/checkpoint.hpp"
+#include "scenario/dispatch/streaming_backend.hpp"
 #include "scenario/execution_backend.hpp"
 #include "service/client.hpp"
 #include "service/server.hpp"
@@ -389,6 +390,60 @@ TEST(ServeDaemon, WorkerCrashHealsAndBytesStayIdentical) {
   EXPECT_EQ(readAll(harness.dir() + "/BENCH_crashy.json"),
             expectedBenchText(grid, expectedDir, "crashy"));
   std::remove(lock.c_str());
+}
+
+// The daemon and pnoc_run drive the same fleet, so one fault records one
+// failure text both ways: deterministic (no pid) and naming the exit status.
+TEST(ServeDaemon, FailureRecordMatchesTheFailSoftBatchRecord) {
+  ScopedEnv fault("PNOC_TEST_FAULT", "crash@1");
+  scenario::dispatch::FaultPolicy policy;
+  policy.retries = 1;
+  policy.backoffBaseMs = 1;
+  const std::vector<scenario::ScenarioSpec> grid = quickGrid(3, 850);
+
+  const auto errorOfUnit1 = [](const std::string& benchText) {
+    const scenario::JsonValue bench = scenario::JsonValue::parse(benchText);
+    for (const scenario::JsonValue& record : bench.at("records").items()) {
+      const scenario::JsonValue* index = record.find("grid_index");
+      if (index != nullptr && index->asU64() == 1) {
+        return record.at("error").asString();
+      }
+    }
+    return std::string("<no record for unit 1>");
+  };
+
+  DaemonHarness harness;
+  harness.options.shards = 2;
+  harness.options.policy = policy;
+  harness.start();
+  ServeClient client(harness.options.socketPath);
+  const std::uint64_t job =
+      client.request(submitLine(grid, harness.dir(), "faulty")).at("job").asU64();
+  EXPECT_EQ(watchToTerminal(client, job), "failed");
+  const std::string served =
+      errorOfUnit1(readAll(harness.dir() + "/BENCH_faulty.json"));
+
+  // pnoc_run fail_soft=1 over the same grid: the observer's records are
+  // what it checkpoints.
+  policy.failSoft = true;
+  scenario::dispatch::StreamingBackend backend(2, "", policy);
+  std::vector<std::string> records(grid.size());
+  backend.setOutcomeObserver(
+      [&](std::size_t index, const scenario::ScenarioOutcome& outcome) {
+        records[index] = scenario::dispatch::serializedOutcomeRecord(outcome, index);
+      });
+  std::vector<scenario::ScenarioJob> jobs;
+  for (const scenario::ScenarioSpec& spec : grid) {
+    jobs.push_back({scenario::ScenarioJob::Op::kRun, spec});
+  }
+  backend.execute(jobs);
+  const std::string batch = errorOfUnit1(
+      readAll(scenario::dispatch::writeBenchFile(harness.dir(), "batch", records)));
+
+  EXPECT_EQ(served, batch);
+  EXPECT_NE(served.find("worker death: exited with status 57"), std::string::npos)
+      << served;
+  EXPECT_EQ(served.find("pid"), std::string::npos) << served;
 }
 
 TEST(ServeDaemon, FleetAddRescuesAFleetThatNeverLaunched) {

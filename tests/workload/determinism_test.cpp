@@ -110,7 +110,7 @@ TEST(WorkloadBackends, AllBackendsAllShardCountsMatchBitForBit) {
   }
 
   for (const auto kind : {scenario::BackendKind::kThreads,
-                          scenario::BackendKind::kProcesses,
+                          scenario::parseBackendKind("processes"),
                           scenario::BackendKind::kStream}) {
     for (const unsigned shards : {1u, 2u, 3u}) {
       const auto backend =

@@ -18,12 +18,12 @@
 // Every run/peak record carries its `grid_index`, which makes the BENCH file
 // a checkpoint: with `resume=1` an existing record's indices are skipped and
 // only the remainder is dispatched, and the merged file is byte-identical
-// (timing record aside) to an uninterrupted run.  Under `backend=stream`
-// the driver additionally checkpoints after EVERY completed job — when
-// resuming, or when no BENCH file existed at start; a failed plain re-run
-// never replaces an existing complete record with a partial checkpoint —
-// so a killed grid resumes from its last completion instead of its last
-// exit.
+// (timing record aside) to an uninterrupted run.  The driver additionally
+// checkpoints after EVERY completed job, on every backend — when resuming,
+// or when no BENCH file existed at start; a failed plain re-run never
+// replaces an existing complete record with a partial checkpoint — so a
+// killed or failed grid resumes from its last completion instead of its
+// last exit.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -367,10 +367,9 @@ int main(int argc, char** argv) {
               << ", backend=" << backend.name() << " ("
               << backend.workersFor(jobs.size()) << " worker(s))\n";
 
-    // Streaming backends report each completed job: checkpoint the BENCH
-    // file after every completion, so a killed run resumes from its last
-    // finished job.  (Batch backends never fire this; they checkpoint only
-    // via the final write below.)
+    // Every backend reports each completed job (the failed ones only under
+    // fail_soft): checkpoint the BENCH file after every completion, so a
+    // killed or failed run resumes from its last finished job.
     if (checkpointing) {
       // Rewrites are throttled to ~1/s: a checkpoint exists to bound lost
       // work after a kill, and one second of it is a fine bound — rewriting
