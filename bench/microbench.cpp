@@ -1,8 +1,9 @@
 // Self-timed microbenchmarks of the simulator's hot paths: full-system cycle
-// rate (with the activity-gated engine on and off), electrical DBA token
-// handling and RNG draws.  These guard the simulator's own performance (a
-// cycle-accurate model is only useful if sweeps stay cheap), complementing
-// the figure-reproduction binaries.
+// rate (with the activity-gated engine on and off), one electrical router
+// stepped at fixed occupancy, electrical DBA token handling and RNG draws.
+// These guard the simulator's own performance (a cycle-accurate model is
+// only useful if sweeps stay cheap), complementing the figure-reproduction
+// binaries.
 //
 // Dependency-free on purpose (no google-benchmark): the same binary runs in
 // CI smoke mode and emits the machine-readable BENCH_microbench.json record
@@ -21,6 +22,8 @@
 #include "core/dba.hpp"
 #include "core/token.hpp"
 #include "network/network.hpp"
+#include "noc/packet_slab.hpp"
+#include "noc/router.hpp"
 #include "obs/profiler.hpp"
 #include "scenario/cli.hpp"
 #include "scenario/json_record.hpp"
@@ -272,6 +275,80 @@ int main(int argc, char** argv) {
                  static_cast<long long>(reservationFailures));
     scenario::recordTiming(satRecorder, m.wallSeconds,
                            static_cast<std::size_t>(kSatCycles));
+  }
+
+  // --- one electrical router at fixed occupancy: the per-layer router cost ---
+  // Every VC of all five input ports holds (what is left of) a 4-flit packet
+  // routed to output 0 or 1, so heads contend for two outputs every cycle
+  // while owned outputs stream bodies.  A packet whose tail leaves is
+  // re-injected at its input port, which keeps the 80 buffered packets (and
+  // the work per step) fixed.
+  {
+    noc::RouterConfig config;  // 5 ports x 16 VCs, Table 3-3 depth
+    const std::uint32_t kPacketFlits = 4;
+    noc::PacketSlab slab;
+    std::vector<noc::PacketHandle> packets;
+    for (std::uint32_t port = 0; port < config.numPorts; ++port) {
+      for (std::uint32_t vc = 0; vc < config.vcsPerPort; ++vc) {
+        noc::PacketDescriptor packet;
+        packet.id = packets.size() + 1;
+        packet.srcCore = port;  // re-injection port
+        packet.dstCore = vc % 2;
+        packet.numFlits = kPacketFlits;
+        packets.push_back(slab.intern(packet));
+      }
+    }
+    // Records the packets whose tail left the router this cycle.
+    class RecyclingSink final : public noc::FlitSink {
+     public:
+      explicit RecyclingSink(std::vector<noc::PacketHandle>& done) : done_(&done) {}
+      bool canAccept(const noc::Flit&) const override { return true; }
+      void accept(const noc::Flit& flit, Cycle) override {
+        if (flit.isTail()) done_->push_back(flit.handle);
+      }
+
+     private:
+      std::vector<noc::PacketHandle>* done_;
+    };
+    std::vector<noc::PacketHandle> done;
+    std::vector<RecyclingSink> sinks(config.numPorts, RecyclingSink(done));
+    noc::ElectricalRouter router(
+        "bench", config,
+        [](const noc::PacketDescriptor& packet) { return packet.dstCore; });
+    for (std::uint32_t port = 0; port < config.numPorts; ++port) {
+      router.connectOutput(port, sinks[port]);
+    }
+    Cycle now = 0;
+    const auto inject = [&](noc::PacketHandle packet) {
+      for (std::uint32_t i = 0; i < packet->numFlits; ++i) {
+        router.acceptFlit(packet->srcCore, noc::makeFlit(packet, i), now);
+      }
+    };
+    for (const noc::PacketHandle packet : packets) inject(packet);
+    const Cycle kBatch = 1000;
+    const Measurement m = timeLoop(
+        [&] {
+          for (Cycle i = 0; i < kBatch; ++i) {
+            router.evaluate(now);
+            router.advance(now);
+            for (const noc::PacketHandle packet : done) inject(packet);
+            done.clear();
+            ++now;
+          }
+        },
+        minSeconds);
+    const double steps = static_cast<double>(m.calls * kBatch);
+    const double nsPerStep = m.wallSeconds * 1e9 / steps;
+    std::printf("%-28s %-10s %-8s %14.0f %12.2f\n", "BM_ElectricalRouterStep", "2-of-5",
+                "-", steps / m.wallSeconds, m.wallSeconds * 1e3);
+    recorder.add("BM_ElectricalRouterStep")
+        .text("label", "2-of-5")
+        .number("items_per_sec", steps / m.wallSeconds)
+        .number("ns_per_step", nsPerStep)
+        .integer("steps", static_cast<long long>(steps))
+        .number("wall_ms", m.wallSeconds * 1e3)
+        .integer("buffered_flits", router.occupancy())
+        .integer("flits_routed", static_cast<long long>(router.stats().flitsRouted));
   }
 
   // --- network reset vs rebuild: the saturation search's inner loop ---

@@ -16,6 +16,13 @@ void SimulationParameters::validate() const {
   if (clusterSize == 0 || numCores == 0 || numCores % clusterSize != 0) {
     throw std::invalid_argument("numCores must be a positive multiple of clusterSize");
   }
+  if (clusterSize > 31) {
+    // Electrical-router port state (crossbar, owned outputs, output
+    // arbitration requests) lives in 32-bit masks over clusterSize + 1 ports.
+    throw std::invalid_argument(
+        "cluster_size must be at most 31 (router port state is tracked in 32-bit masks "
+        "over cluster_size + 1 ports)");
+  }
   if (bandwidthSet.totalWavelengths == 0) {
     throw std::invalid_argument("bandwidth set must provide at least one wavelength");
   }

@@ -1,72 +1,45 @@
 #include "noc/arbiter.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace pnoc::noc {
 
-RoundRobinArbiter::RoundRobinArbiter(std::uint32_t size) : size_(size) {
-  assert(size > 0);
-}
-
-std::uint32_t RoundRobinArbiter::grant(const std::vector<bool>& requests) {
-  assert(requests.size() == size_);
-  for (std::uint32_t offset = 0; offset < size_; ++offset) {
-    const std::uint32_t candidate = (nextPriority_ + offset) % size_;
-    if (requests[candidate]) {
-      nextPriority_ = (candidate + 1) % size_;
-      return candidate;
-    }
+Arbiter::Arbiter(const std::string& kind, std::uint32_t size) : size_(size) {
+  assert(size > 0 && size <= 32 && "requests are a 32-bit mask");
+  if (kind == "matrix") {
+    beatenBy_.resize(size);
+  } else if (kind != "round-robin") {
+    throw std::invalid_argument("unknown arbiter kind: '" + kind + "'");
   }
-  return kNoGrant;
-}
-
-MatrixArbiter::MatrixArbiter(std::uint32_t size)
-    : size_(size), matrix_(static_cast<std::size_t>(size) * size, false) {
-  assert(size > 0);
   reset();
 }
 
-void MatrixArbiter::reset() {
-  // Initial priority: lower index beats higher index.
-  std::fill(matrix_.begin(), matrix_.end(), false);
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    for (std::uint32_t j = i + 1; j < size_; ++j) matrix_[i * size_ + j] = true;
-  }
+void Arbiter::reset() {
+  nextPriority_ = 0;
+  // Matrix initial priority: lower index beats higher index.
+  for (std::uint32_t i = 0; i < beatenBy_.size(); ++i) beatenBy_[i] = (1u << i) - 1;
 }
 
-std::uint32_t MatrixArbiter::grant(const std::vector<bool>& requests) {
-  assert(requests.size() == size_);
+std::uint32_t Arbiter::grantMatrix(std::uint32_t requests) {
+  // Lowest-index requester that no other requester beats.  The priority
+  // relation is a total order, so exactly one requester qualifies.
   std::uint32_t winner = kNoGrant;
-  for (std::uint32_t i = 0; i < size_; ++i) {
-    if (!requests[i]) continue;
-    bool dominated = false;
-    for (std::uint32_t j = 0; j < size_; ++j) {
-      if (j != i && requests[j] && beats(j, i)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
+  for (std::uint32_t rest = requests; rest != 0; rest &= rest - 1) {
+    const auto i = static_cast<std::uint32_t>(std::countr_zero(rest));
+    if ((beatenBy_[i] & requests) == 0) {
       winner = i;
       break;
     }
   }
-  if (winner != kNoGrant) {
-    // Winner drops below everyone: clear its row, set its column.
-    for (std::uint32_t j = 0; j < size_; ++j) {
-      matrix_[winner * size_ + j] = false;
-      if (j != winner) matrix_[j * size_ + winner] = true;
-    }
-  }
+  assert(winner != kNoGrant);
+  // Winner drops below everyone: it beats nobody, everyone beats it.
+  const std::uint32_t winnerBit = 1u << winner;
+  for (std::uint32_t& word : beatenBy_) word &= ~winnerBit;
+  const std::uint32_t all = size_ == 32 ? ~0u : (1u << size_) - 1;
+  beatenBy_[winner] = all & ~winnerBit;
   return winner;
-}
-
-std::unique_ptr<Arbiter> makeArbiter(const std::string& kind, std::uint32_t size) {
-  if (kind == "round-robin") return std::make_unique<RoundRobinArbiter>(size);
-  if (kind == "matrix") return std::make_unique<MatrixArbiter>(size);
-  throw std::invalid_argument("unknown arbiter kind: '" + kind + "'");
 }
 
 }  // namespace pnoc::noc

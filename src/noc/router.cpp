@@ -3,8 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <utility>
 
 namespace pnoc::noc {
+namespace {
+
+std::uint32_t lowestBit(std::uint32_t mask) {
+  return static_cast<std::uint32_t>(std::countr_zero(mask));
+}
+
+}  // namespace
 
 ElectricalRouter::ElectricalRouter(
     std::string name, const RouterConfig& config,
@@ -13,19 +21,28 @@ ElectricalRouter::ElectricalRouter(
       config_(config),
       routeFn_(std::move(routeFn)),
       outputs_(config.numPorts),
+      allPorts_(config.numPorts == 32 ? ~0u : (1u << config.numPorts) - 1),
       crossbar_(config.numPorts, config.numPorts),
       receivingVc_(config.numPorts),
-      vcRequests_(config.vcsPerPort, false),
-      inputRequests_(config.numPorts, false),
-      vcTargets_(config.vcsPerPort, 0),
+      hotOccupied_(config.numPorts, 0),
+      hotHeadFront_(config.numPorts, 0),
+      hotFront_(static_cast<std::size_t>(config.numPorts) * config.vcsPerPort),
+      hotFrontArrival_(hotFront_.size(), 0),
+      routeOut_(hotFront_.size(), 0),
+      routedHeads_(static_cast<std::size_t>(config.numPorts) * config.numPorts, 0),
       selectedVc_(config.numPorts, kNoVc),
-      selectedOut_(config.numPorts, 0) {
+      outRequests_(config.numPorts, 0) {
   assert(routeFn_ && "router requires a routing function");
   inputs_.reserve(config.numPorts);
+  inputArbiters_.reserve(config.numPorts);
+  outputArbiters_.reserve(config.numPorts);
   for (std::uint32_t p = 0; p < config.numPorts; ++p) {
     inputs_.emplace_back(config.vcsPerPort, config.vcDepthFlits);
-    inputArbiters_.push_back(makeArbiter(config.arbiter, config.vcsPerPort));
-    outputArbiters_.push_back(makeArbiter(config.arbiter, config.numPorts));
+    inputs_.back().attachHotState(VcHotSlice{&hotOccupied_[p], &hotHeadFront_[p],
+                                             &hotFront_[slot(p, 0)],
+                                             &hotFrontArrival_[slot(p, 0)]});
+    inputArbiters_.emplace_back(config.arbiter, config.vcsPerPort);
+    outputArbiters_.emplace_back(config.arbiter, config.numPorts);
   }
   pendingMoves_.reserve(config.numPorts);
 }
@@ -54,6 +71,12 @@ void ElectricalRouter::acceptFlit(std::uint32_t inputPort, const Flit& flit, Cyc
     vc = bank.findFreeVcForNewPacket();
     bank.lock(vc);
     if (!flit.isTail()) receivingVc_[inputPort].insert(flit.packet().id, vc);
+    // A head opens an empty VC, so it is the VC's front until it pops:
+    // route it once here instead of on every cycle it waits.
+    const std::uint32_t out = routeFn_(flit.packet());
+    assert(out < config_.numPorts);
+    routeOut_[slot(inputPort, vc)] = static_cast<std::uint8_t>(out);
+    routedHeads(inputPort, out) |= 1u << vc;
   } else {
     vc = receivingVc_[inputPort].find(flit.packet().id);
     if (flit.isTail()) receivingVc_[inputPort].erase(flit.packet().id);
@@ -65,10 +88,9 @@ void ElectricalRouter::acceptFlit(std::uint32_t inputPort, const Flit& flit, Cyc
 }
 
 bool ElectricalRouter::flitEligible(std::uint32_t inPort, VcId vc, Cycle now) const {
-  const VirtualChannel& channel = inputs_[inPort].vc(vc);
-  if (channel.empty()) return false;
+  if (((hotOccupied_[inPort] >> vc) & 1u) == 0) return false;
   if (config_.pipelineLatency <= 1) return true;
-  return channel.frontArrival() + (config_.pipelineLatency - 1) <= now;
+  return hotFrontArrival_[slot(inPort, vc)] + (config_.pipelineLatency - 1) <= now;
 }
 
 void ElectricalRouter::evaluate(Cycle cycle) {
@@ -81,80 +103,62 @@ void ElectricalRouter::evaluate(Cycle cycle) {
   crossbar_.reset();
 
   // Stage 0: continue wormhole streams that already own an output port.
-  for (std::uint32_t out = 0; out < config_.numPorts; ++out) {
-    OutputState& state = outputs_[out];
-    if (!state.owned) continue;
+  for (std::uint32_t owned = ownedOutputs_; owned != 0; owned &= owned - 1) {
+    const std::uint32_t out = lowestBit(owned);
+    const OutputState& state = outputs_[out];
     if (crossbar_.inputBusy(state.inPort)) continue;
-    const VirtualChannel& channel = inputs_[state.inPort].vc(state.inVc);
-    if (channel.empty()) continue;
-    const Flit& flit = channel.front();
-    assert(flit.packet().id == state.packet && "VC lock violated");
     if (!flitEligible(state.inPort, state.inVc, cycle)) continue;
+    const Flit& flit = hotFront_[slot(state.inPort, state.inVc)];
+    assert(flit.packet().id == state.packet && "VC lock violated");
     if (state.sink == nullptr || !state.sink->canAccept(flit)) continue;
     crossbar_.connect(state.inPort, out);
     pendingMoves_.push_back(Move{state.inPort, state.inVc, out});
   }
 
-  // Streaming fast path: with no head flit at the front of any VC, stages
-  // 1 and 2 cannot produce a grant — every front flit is body/tail traffic
-  // that only moves through the owned outputs handled above.
-  bool anyHeadFronts = false;
-  for (const VcBufferBank& bank : inputs_) {
-    if (bank.headFrontCount() != 0) {
-      anyHeadFronts = true;
-      break;
-    }
-  }
-  if (!anyHeadFronts) {
+  // Streaming fast path: with no head flit at the front of any VC, or no
+  // output left to claim, stages 1 and 2 cannot produce a grant — every
+  // front flit is body/tail traffic that only moves through the owned
+  // outputs handled above.
+  std::uint32_t anyHeadFronts = 0;
+  for (const std::uint32_t heads : hotHeadFront_) anyHeadFronts |= heads;
+  const std::uint32_t freeOutputs = allPorts_ & ~(ownedOutputs_ | crossbar_.outputBusyMask());
+  if (anyHeadFronts == 0 || freeOutputs == 0) {
     finishEvaluate(cycle);
     return;
   }
 
   // Stage 1 (input arbitration): each idle input picks one VC holding an
   // eligible head flit whose route targets a free output that can accept it.
-  std::fill(selectedVc_.begin(), selectedVc_.end(), kNoVc);
+  // Only heads routed to a free output are candidates (ascending VC order,
+  // as a full scan would visit them).
   for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-    if (crossbar_.inputBusy(in)) continue;
-    std::fill(vcRequests_.begin(), vcRequests_.end(), false);
-    bool any = false;
-    // Iterate only the occupied VCs (ascending, same order as a full scan).
-    for (std::uint32_t occ = inputs_[in].occupiedMask(); occ != 0; occ &= occ - 1) {
-      const VcId vc = static_cast<VcId>(std::countr_zero(occ));
-      const VirtualChannel& channel = inputs_[in].vc(vc);
-      if (!channel.front().isHead()) continue;
+    if (hotHeadFront_[in] == 0 || crossbar_.inputBusy(in)) continue;
+    std::uint32_t candidates = 0;
+    for (std::uint32_t free = freeOutputs; free != 0; free &= free - 1) {
+      candidates |= routedHeads(in, lowestBit(free));
+    }
+    std::uint32_t requests = 0;
+    for (; candidates != 0; candidates &= candidates - 1) {
+      const auto vc = static_cast<VcId>(lowestBit(candidates));
       if (!flitEligible(in, vc, cycle)) continue;
-      const std::uint32_t out = routeFn_(channel.front().packet());
-      assert(out < config_.numPorts);
-      const OutputState& state = outputs_[out];
-      if (state.owned || crossbar_.outputBusy(out)) continue;
-      if (state.sink == nullptr || !state.sink->canAccept(channel.front())) continue;
-      vcRequests_[vc] = true;
-      vcTargets_[vc] = out;
-      any = true;
+      const std::size_t at = slot(in, vc);
+      const FlitSink* sink = outputs_[routeOut_[at]].sink;
+      if (sink == nullptr || !sink->canAccept(hotFront_[at])) continue;
+      requests |= 1u << vc;
     }
-    if (!any) continue;
-    const std::uint32_t vc = inputArbiters_[in]->grant(vcRequests_);
-    if (vc != kNoGrant) {
-      selectedVc_[in] = vc;
-      selectedOut_[in] = vcTargets_[vc];
-    }
+    if (requests == 0) continue;
+    const auto vc = static_cast<VcId>(inputArbiters_[in].grant(requests));
+    selectedVc_[in] = vc;
+    outRequests_[routeOut_[slot(in, vc)]] |= 1u << in;
   }
 
   // Stage 2 (output arbitration): each free output picks among the inputs
   // whose selected head flit targets it.
-  for (std::uint32_t out = 0; out < config_.numPorts; ++out) {
-    if (outputs_[out].owned || crossbar_.outputBusy(out)) continue;
-    std::fill(inputRequests_.begin(), inputRequests_.end(), false);
-    bool any = false;
-    for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-      if (selectedVc_[in] != kNoVc && selectedOut_[in] == out) {
-        inputRequests_[in] = true;
-        any = true;
-      }
-    }
-    if (!any) continue;
-    const std::uint32_t in = outputArbiters_[out]->grant(inputRequests_);
-    if (in == kNoGrant) continue;
+  for (std::uint32_t free = freeOutputs; free != 0; free &= free - 1) {
+    const std::uint32_t out = lowestBit(free);
+    const std::uint32_t requests = std::exchange(outRequests_[out], 0);
+    if (requests == 0) continue;
+    const std::uint32_t in = outputArbiters_[out].grant(requests);
     crossbar_.connect(in, out);
     pendingMoves_.push_back(Move{in, selectedVc_[in], out});
   }
@@ -182,14 +186,14 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
   canSleepBlocked_ = false;
   Cycle nextEligible = kNoCycle;
   // Streams that own an output port (body/tail flits mid-wormhole).
-  for (std::uint32_t out = 0; out < config_.numPorts; ++out) {
-    const OutputState& state = outputs_[out];
-    if (!state.owned) continue;
-    const VirtualChannel& channel = inputs_[state.inPort].vc(state.inVc);
-    if (channel.empty()) continue;  // next body flit's acceptFlit() wakes us
+  for (std::uint32_t owned = ownedOutputs_; owned != 0; owned &= owned - 1) {
+    const OutputState& state = outputs_[lowestBit(owned)];
+    if (((hotOccupied_[state.inPort] >> state.inVc) & 1u) == 0) {
+      continue;  // next body flit's acceptFlit() wakes us
+    }
     if (!flitEligible(state.inPort, state.inVc, cycle)) {
-      nextEligible =
-          std::min(nextEligible, channel.frontArrival() + config_.pipelineLatency - 1);
+      nextEligible = std::min(nextEligible, hotFrontArrival_[slot(state.inPort, state.inVc)] +
+                                                config_.pipelineLatency - 1);
       continue;
     }
     // Eligible but stalled on the sink: ask it to wake us when it drains.
@@ -197,26 +201,24 @@ void ElectricalRouter::prepareBlockedPark(Cycle cycle) {
   }
   // Head flits waiting at the front of their VC.
   for (std::uint32_t in = 0; in < config_.numPorts; ++in) {
-    for (std::uint32_t occ = inputs_[in].occupiedMask(); occ != 0; occ &= occ - 1) {
-      const VcId vc = static_cast<VcId>(std::countr_zero(occ));
-      const VirtualChannel& channel = inputs_[in].vc(vc);
-      const Flit& front = channel.front();
-      if (!front.isHead()) continue;  // body stream, covered above
+    for (std::uint32_t heads = hotHeadFront_[in]; heads != 0; heads &= heads - 1) {
+      const auto vc = static_cast<VcId>(lowestBit(heads));
+      const std::size_t at = slot(in, vc);
       if (!flitEligible(in, vc, cycle)) {
         nextEligible =
-            std::min(nextEligible, channel.frontArrival() + config_.pipelineLatency - 1);
+            std::min(nextEligible, hotFrontArrival_[at] + config_.pipelineLatency - 1);
         continue;
       }
-      const std::uint32_t out = routeFn_(front.packet());
-      const OutputState& state = outputs_[out];
+      const std::uint32_t out = routeOut_[at];
       // An owned output frees only when its stream moves, and moves only
       // happen while we are awake — the head rides on the owner's blockers.
-      if (state.owned) continue;
-      if (state.sink == nullptr) return;
+      if (((ownedOutputs_ >> out) & 1u) != 0) continue;
+      FlitSink* sink = outputs_[out].sink;
+      if (sink == nullptr) return;
       // A movable head implies a granted move, contradicting the zero-move
       // premise; stay polling rather than trust the analysis.
-      if (state.sink->canAccept(front)) return;
-      if (!state.sink->notifyOnDrain(*this)) return;
+      if (sink->canAccept(hotFront_[at])) return;
+      if (!sink->notifyOnDrain(*this)) return;
     }
   }
   if (nextEligible != kNoCycle) scheduleWakeAt(nextEligible);
@@ -245,14 +247,16 @@ void ElectricalRouter::advance(Cycle cycle) {
     const bool isTail = flit.isTail();
     state.sink->accept(flit, cycle);
 
+    const std::uint32_t outBit = 1u << move.outPort;
+    if (isHead) routedHeads(move.inPort, move.outPort) &= ~(1u << move.inVc);
     if (isHead && !isTail) {
-      state.owned = true;
+      ownedOutputs_ |= outBit;
       state.inPort = move.inPort;
       state.inVc = move.inVc;
       state.packet = packetId;
     }
     if (isTail) {
-      if (state.owned && state.packet == packetId) state.owned = false;
+      if ((ownedOutputs_ & outBit) != 0 && state.packet == packetId) ownedOutputs_ &= ~outBit;
       bank.unlock(move.inVc);
     }
   }
@@ -262,15 +266,16 @@ void ElectricalRouter::advance(Cycle cycle) {
 void ElectricalRouter::reset() {
   for (auto& bank : inputs_) bank.reset();
   for (OutputState& state : outputs_) {
-    state.owned = false;
     state.inPort = 0;
     state.inVc = kNoVc;
     state.packet = 0;  // sink wiring survives
   }
+  ownedOutputs_ = 0;
+  std::fill(routedHeads_.begin(), routedHeads_.end(), 0);
   crossbar_.reset();
   crossbar_.resetStats();
-  for (auto& arbiter : inputArbiters_) arbiter->reset();
-  for (auto& arbiter : outputArbiters_) arbiter->reset();
+  for (Arbiter& arbiter : inputArbiters_) arbiter.reset();
+  for (Arbiter& arbiter : outputArbiters_) arbiter.reset();
   for (auto& map : receivingVc_) map.clear();
   pendingMoves_.clear();
   occupancy_ = 0;

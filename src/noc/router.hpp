@@ -23,12 +23,21 @@
 // no stats, no pointer movement), so parking them is bit-identical to
 // polling.  Arbitration scratch state lives in member buffers so evaluate()
 // allocates nothing on the hot path.
+//
+// Hot path.  Every head flit is routed once, when acceptFlit() buffers it:
+// the output port is cached per VC and the VC's bit is set in a
+// per-(input, output) "heads routed here" mask until the head pops.  Input
+// arbitration ORs the masks of the outputs still free this cycle, so it
+// only inspects heads that could move; requests and grants are 32-bit masks
+// (Arbiter), and the crossbar's per-cycle state is two port masks.  The
+// input banks mirror their occupied/head-front words and front flits into
+// one router-owned VcHotSlice block, which the stages read instead of the
+// VCs' ring buffers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -63,7 +72,9 @@ class FlitSink {
 };
 
 struct RouterConfig {
-  std::uint32_t numPorts = 5;       // 4 cores + 1 photonic uplink in a cluster
+  /// 4 cores + 1 photonic uplink in a cluster; at most 32 (port state is
+  /// kept in 32-bit masks).
+  std::uint32_t numPorts = 5;
   std::uint32_t vcsPerPort = 16;    // Table 3-3
   std::uint32_t vcDepthFlits = 64;  // Table 3-3
   /// Cycles a flit spends inside the router pipeline before it may leave
@@ -121,7 +132,6 @@ class ElectricalRouter final : public sim::Clocked {
 
  private:
   struct OutputState {
-    bool owned = false;
     std::uint32_t inPort = 0;
     VcId inVc = kNoVc;
     PacketId packet = 0;
@@ -134,6 +144,14 @@ class ElectricalRouter final : public sim::Clocked {
     std::uint32_t outPort;
   };
 
+  /// Index of (port, vc) in the per-VC hot arrays.
+  std::size_t slot(std::uint32_t port, VcId vc) const {
+    return static_cast<std::size_t>(port) * config_.vcsPerPort + vc;
+  }
+  /// Mask of VCs at `inPort` whose front head is routed to `outPort`.
+  std::uint32_t& routedHeads(std::uint32_t inPort, std::uint32_t outPort) {
+    return routedHeads_[static_cast<std::size_t>(inPort) * config_.numPorts + outPort];
+  }
   bool flitEligible(std::uint32_t inPort, VcId vc, Cycle now) const;
   void finishEvaluate(Cycle cycle);
   void prepareBlockedPark(Cycle cycle);
@@ -143,11 +161,15 @@ class ElectricalRouter final : public sim::Clocked {
   std::function<std::uint32_t(const PacketDescriptor&)> routeFn_;
   std::vector<VcBufferBank> inputs_;
   std::vector<OutputState> outputs_;
+  /// Bit p set iff output p is owned by a wormhole stream (a head went out,
+  /// its tail has not).
+  std::uint32_t ownedOutputs_ = 0;
+  std::uint32_t allPorts_ = 0;  // bit p set for every port p < numPorts
   Crossbar crossbar_;
   /// Input-arbitration stage: one arbiter per input port picks among VCs.
-  std::vector<std::unique_ptr<Arbiter>> inputArbiters_;
+  std::vector<Arbiter> inputArbiters_;
   /// Output-arbitration stage: one arbiter per output port picks among inputs.
-  std::vector<std::unique_ptr<Arbiter>> outputArbiters_;
+  std::vector<Arbiter> outputArbiters_;
   /// VC a partially received packet is being written to, per input port.
   std::vector<PacketVcMap> receivingVc_;
   std::vector<Move> pendingMoves_;  // decided in evaluate, applied in advance
@@ -160,13 +182,23 @@ class ElectricalRouter final : public sim::Clocked {
   /// wake source armed (drain notification or eligibility timer); cleared by
   /// any new work.
   bool canSleepBlocked_ = false;
-  // Arbitration scratch, sized once in the constructor (no per-cycle
-  // allocation).
-  std::vector<bool> vcRequests_;          // one slot per VC of a port
-  std::vector<bool> inputRequests_;       // one slot per input port
-  std::vector<std::uint32_t> vcTargets_;  // requested output per VC
-  std::vector<VcId> selectedVc_;          // per input port
-  std::vector<std::uint32_t> selectedOut_;
+  // Hot slice of the input banks (VcBufferBank::attachHotState): one
+  // occupied and one head-front word per port, front flit and front arrival
+  // per (port, vc).  Sized once in the constructor.
+  std::vector<std::uint32_t> hotOccupied_;
+  std::vector<std::uint32_t> hotHeadFront_;
+  std::vector<Flit> hotFront_;
+  std::vector<Cycle> hotFrontArrival_;
+  /// Output port of the head flit buffered in (port, vc), computed once by
+  /// acceptFlit(); valid while the head sits at the VC's front.
+  std::vector<std::uint8_t> routeOut_;
+  /// [inPort][outPort] mask of VCs holding a head routed to outPort.
+  std::vector<std::uint32_t> routedHeads_;
+  // Arbitration scratch (no per-cycle allocation).
+  std::vector<VcId> selectedVc_;          // per input port, valid when granted
+  /// Per output port: inputs whose selected head targets it (zero outside
+  /// evaluate(); stage 2 consumes and clears it).
+  std::vector<std::uint32_t> outRequests_;
   RouterStats stats_;
 };
 

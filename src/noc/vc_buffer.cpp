@@ -62,10 +62,6 @@ void VcBufferBank::attachHotState(const VcHotSlice& slice) {
   ext_ = slice;
   *ext_.occupied = 0;
   *ext_.headFront = 0;
-  for (std::uint32_t i = 0; i < numVcs(); ++i) {
-    ext_.front[i] = Flit{};
-    ext_.frontArrival[i] = 0;
-  }
 }
 
 void VcBufferBank::push(VcId id, const Flit& flit, Cycle now) {
@@ -127,10 +123,6 @@ void VcBufferBank::reset() {
   if (ext_.occupied != nullptr) {
     *ext_.occupied = 0;
     *ext_.headFront = 0;
-    for (std::uint32_t i = 0; i < numVcs(); ++i) {
-      ext_.front[i] = Flit{};
-      ext_.frontArrival[i] = 0;
-    }
   }
 }
 

@@ -75,16 +75,20 @@ class VirtualChannel {
 };
 
 /// Hot VC-front metadata for one bank, exposed as raw pointers so an owner
-/// (PhotonicNetwork's PhotonicHotState) can place every bank's slice in flat
-/// contiguous arrays.  The per-cycle transmit/ejection scans then read
-/// compact SoA memory instead of chasing bank->vc(id) object chains.  A bank
-/// not attached to shared storage keeps its masks in plain members and pays
-/// nothing for the mirroring (the electrical routers' banks stay exactly as
-/// cheap as before the SoA existed).
+/// can place every bank's slice in flat contiguous arrays: PhotonicNetwork's
+/// PhotonicHotState for the photonic routers, and each ElectricalRouter's
+/// own block for its input banks.  The per-cycle arbitration, transmit and
+/// ejection scans then read compact SoA memory instead of chasing
+/// bank->vc(id) ring buffers.  A bank not attached to external storage (a
+/// standalone bank in a test) keeps its masks in plain members and skips
+/// the mirroring.
 struct VcHotSlice {
   std::uint32_t* occupied = nullptr;   ///< one word: bit i set iff VC i non-empty
   std::uint32_t* headFront = nullptr;  ///< one word: bit i set iff VC i's front is a head
-  Flit* front = nullptr;               ///< [numVcs] front flit of each occupied VC
+  /// [numVcs] front flit of each occupied VC.  A slot is written when a
+  /// flit lands in its empty VC and on every pop; it means nothing while the
+  /// VC's occupied bit is clear, so attach and reset leave it as it is.
+  Flit* front = nullptr;
   Cycle* frontArrival = nullptr;       ///< [numVcs] enqueue cycle of each front flit
 };
 
@@ -170,8 +174,8 @@ class VcBufferBank {
   std::uint32_t occupiedMask_ = 0;
   std::uint32_t headFrontMask_ = 0;
   std::uint32_t occupancy_ = 0;
-  /// External SoA mirror; all pointers null when unattached (the common,
-  /// electrical-router case — push/pop then skip the mirroring entirely).
+  /// External SoA mirror; all pointers null when unattached (push/pop then
+  /// skip the mirroring entirely).
   VcHotSlice ext_;
 };
 

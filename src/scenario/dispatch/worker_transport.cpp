@@ -53,9 +53,13 @@ WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
     throw std::runtime_error("dispatch: fork() failed");
   }
   if (pid == 0) {
-    // Child: wire the pipes to stdin/stdout and become a protocol worker.
-    // Everything else (these four originals, any earlier worker's pipes)
-    // closes at exec via FD_CLOEXEC.
+    // Child: lead a process group of its own, so terminateWorker() reaches
+    // whatever a launcher forks before exec'ing the worker (a `sh -c`
+    // wrapper's children would otherwise outlive the slot holding the
+    // worker's pipes).  Then wire the pipes to stdin/stdout and become a
+    // protocol worker.  Everything else (these four originals, any earlier
+    // worker's pipes) closes at exec via FD_CLOEXEC.
+    ::setpgid(0, 0);
     ::dup2(inPipe[0], STDIN_FILENO);
     ::dup2(outPipe[1], STDOUT_FILENO);
     std::vector<char*> args;
@@ -66,6 +70,9 @@ WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
     // exec failed; 127 mirrors the shell's "command not found".
     _exit(127);
   }
+  // Set the group from both sides so it exists before either process
+  // relies on it (fails harmlessly once the child has exec'd).
+  ::setpgid(pid, pid);
   ::close(inPipe[0]);
   ::close(outPipe[1]);
   WorkerConnection connection;
@@ -101,6 +108,13 @@ bool writeAllToWorker(int fd, const std::string& data) {
 }
 
 namespace {
+
+/// Signals the worker's process group (the worker leads it, see
+/// spawnWorkerProcess), falling back to the worker alone should the group be
+/// gone, so the bounded-teardown guarantee never rests on setpgid.
+void signalWorkerGroup(pid_t pid, int signal) {
+  if (::kill(-pid, signal) != 0) ::kill(pid, signal);
+}
 
 /// Blocking reap (EINTR-safe); returns the wait status and clears `pid`.
 /// Returns -1 when the pid was already reaped or never valid.
@@ -139,7 +153,7 @@ int reapWorkerWithin(WorkerConnection& connection, std::uint64_t graceMs,
   }
   // Grace expired: the worker is wedged.  SIGKILL cannot be ignored, so the
   // blocking reap below returns promptly.
-  ::kill(connection.pid, SIGKILL);
+  signalWorkerGroup(connection.pid, SIGKILL);
   if (killed != nullptr) *killed = true;
   return reapWorker(connection);
 }
@@ -151,7 +165,7 @@ int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs,
     if (killed != nullptr) *killed = false;
     return -1;
   }
-  ::kill(connection.pid, SIGTERM);
+  signalWorkerGroup(connection.pid, SIGTERM);
   return reapWorkerWithin(connection, graceMs, killed);
 }
 

@@ -16,7 +16,9 @@
 // parent owns.  launch() only forks and execs — it never waits on the
 // remote side; the fleet runs each worker's connect budget on its
 // handshake ack, so a fleet of slow hosts connects in parallel.  Pipe fds
-// are FD_CLOEXEC so one worker never inherits another's ends.
+// are FD_CLOEXEC so one worker never inherits another's ends.  Each worker
+// leads its own process group, and terminateWorker() signals the group, so
+// a launcher that forks before exec'ing the worker leaves nothing behind.
 #pragma once
 
 #include <cstdint>
@@ -90,7 +92,8 @@ class CommandTransport : public WorkerTransport {
   std::string executable_;
 };
 
-/// The shared low-level spawn: fork, stdin/stdout onto fresh FD_CLOEXEC
+/// The shared low-level spawn: fork, a new process group led by the child
+/// (its pgid is the returned pid), stdin/stdout onto fresh FD_CLOEXEC
 /// pipes, execvp(argv).  Throws std::runtime_error on pipe/fork failure.
 WorkerConnection spawnWorkerProcess(const std::vector<std::string>& argv,
                                     const std::string& description);
@@ -105,7 +108,8 @@ void closeConnection(WorkerConnection& connection);
 bool writeAllToWorker(int fd, const std::string& data);
 
 /// Bounded reap: waits up to `graceMs` (WNOHANG polling) for the worker to
-/// exit on its own; one still alive at expiry is SIGKILLed and reaped —
+/// exit on its own; one still alive at expiry is SIGKILLed (with its
+/// process group) and reaped —
 /// this can never block indefinitely.  Sets *killed (when non-null) if the
 /// escalation fired.  Returns the wait status (-1: nothing to reap) and
 /// clears `pid`.
@@ -113,8 +117,8 @@ int reapWorkerWithin(WorkerConnection& connection, std::uint64_t graceMs,
                      bool* killed = nullptr);
 
 /// The abnormal-path kill: closes both pipes (stdin EOF lets a healthy
-/// worker exit inside the grace), sends SIGTERM, then escalates per
-/// reapWorkerWithin.  A worker that ignores SIGTERM — or is wedged in a
+/// worker exit inside the grace), sends SIGTERM to the worker's process
+/// group, then escalates per reapWorkerWithin (SIGKILL, also to the group).  A worker that ignores SIGTERM — or is wedged in a
 /// job — is SIGKILLed after `graceMs`, so teardown is always bounded.
 int terminateWorker(WorkerConnection& connection, std::uint64_t graceMs,
                     bool* killed = nullptr);

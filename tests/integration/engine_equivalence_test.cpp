@@ -250,6 +250,33 @@ TEST(SaturationGoldens, PeakRecordsAreByteIdenticalToPrePartitionEngine) {
   }
 }
 
+TEST(SaturationGoldens, MatrixArbiterRunRecordsAreByteIdenticalToScanArbiters) {
+  // The goldens above pin the default round-robin arbiter.  These were
+  // captured with arbiter=matrix from the router whose arbiters scanned
+  // std::vector<bool> requests, before they became bit masks, deep in
+  // saturation where input and output arbitration contend every cycle.
+  const GoldenRun goldens[] = {
+      {"dhetpnoc", "skewed-hotspot2", 0.02, 3,
+       R"({"name":"run","arch":"dhetpnoc","pattern":"skewed-hotspot2","bandwidth_set":1,"seed":3,"load":0.02,"gbps":691.20000000000005,"acceptance":0.10530421216848673,"avg_latency_cycles":821.62962962962968,"energy_per_packet_pj":7356.0748657407485})"},
+      {"dhetpnoc", "uniform", 0.01, 7,
+       R"({"name":"run","arch":"dhetpnoc","pattern":"uniform","bandwidth_set":1,"seed":7,"load":0.01,"gbps":906.2399999999999,"acceptance":0.2957393483709273,"avg_latency_cycles":724.06214689265539,"energy_per_packet_pj":8543.7394332627191})"},
+  };
+  for (const GoldenRun& golden : goldens) {
+    scenario::ScenarioSpec spec;
+    spec.set("arch", golden.arch);
+    spec.set("pattern", golden.pattern);
+    spec.set("arbiter", "matrix");
+    spec.params.offeredLoad = golden.load;
+    spec.params.seed = golden.seed;
+    spec.params.warmupCycles = 200;
+    spec.params.measureCycles = 2000;
+    const metrics::RunMetrics metrics = scenario::runScenario(spec);
+    scenario::JsonRecorder scratch("scratch");
+    EXPECT_EQ(scenario::recordRun(scratch, spec, metrics).serialize(), golden.record)
+        << golden.arch << "/" << golden.pattern << "@" << golden.load;
+  }
+}
+
 TEST(TimerParking, CoresParkBetweenArrivalsAtNonzeroLoad) {
   // The tentpole claim: at low-but-nonzero offered load the injection side
   // sleeps between pre-scheduled arrivals instead of flipping a per-cycle

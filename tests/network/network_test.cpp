@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "network/channel_policy.hpp"
 
 namespace pnoc::network {
@@ -64,6 +67,26 @@ TEST(Params, AcceptsFullMaskWidthVcCount) {
   EXPECT_NO_THROW(params.validate());
   PhotonicNetwork net(params);
   net.step(200);
+}
+
+TEST(Params, RejectsClusterSizeOutsidePortMaskRange) {
+  // Router port state is kept in 32-bit masks over cluster_size + 1 ports:
+  // 31 cores per cluster fill the word, 32 would shift out of range.  The
+  // geometry is otherwise consistent, so only the mask bound can refuse it.
+  auto params = baseParams();
+  params.clusterSize = 32;
+  params.coreRouter.numPorts = 33;
+  try {
+    params.validate();
+    FAIL() << "cluster_size 32 must be rejected";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("cluster_size"), std::string::npos)
+        << error.what();
+  }
+  params.numCores = 62;
+  params.clusterSize = 31;
+  params.coreRouter.numPorts = 32;
+  EXPECT_NO_THROW(params.validate());
 }
 
 TEST(FireflyPolicy, StaticEvenSplit) {

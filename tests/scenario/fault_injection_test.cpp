@@ -14,11 +14,14 @@
 // and the real recovery paths.
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <unistd.h>
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "scenario/dispatch/fault_policy.hpp"
 #include "scenario/dispatch/hosts_file.hpp"
 #include "scenario/dispatch/streaming_backend.hpp"
+#include "scenario/dispatch/worker_transport.hpp"
 #include "scenario/fault_injection.hpp"
 #include "scenario/in_process_backend.hpp"
 #include "scenario/wire.hpp"
@@ -477,6 +481,64 @@ TEST(FleetConnect, TimedOutHostIsDroppedAndTheBatchCompletesElsewhere) {
   const auto actual = streaming.execute(jobs);
   expectSameOutcomes(actual, expected, "timed-out host");
   EXPECT_EQ(streaming.lastStats().launchFailures, 1u);
+}
+
+/// Live (not yet exited) processes whose process group is `pgid`, read from
+/// /proc/<pid>/stat ("pid (comm) state ppid pgrp ...").
+std::vector<pid_t> liveMembersOfGroup(pid_t pgid) {
+  std::vector<pid_t> members;
+  DIR* proc = ::opendir("/proc");
+  if (proc == nullptr) return members;
+  while (const dirent* entry = ::readdir(proc)) {
+    const pid_t pid = static_cast<pid_t>(std::atoi(entry->d_name));
+    if (pid <= 0) continue;
+    std::ifstream stat(std::string("/proc/") + entry->d_name + "/stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;  // exited while we looked
+    const std::size_t commEnd = line.rfind(')');
+    if (commEnd == std::string::npos) continue;
+    std::istringstream rest(line.substr(commEnd + 1));
+    char state = 0;
+    pid_t parent = 0;
+    pid_t group = 0;
+    rest >> state >> parent >> group;
+    if (group == pgid && state != 'Z' && state != 'X') members.push_back(pid);
+  }
+  ::closedir(proc);
+  return members;
+}
+
+/// Polls liveMembersOfGroup() until it finds exactly `count` pids or `ms` pass.
+std::vector<pid_t> waitForGroupSize(pid_t pgid, std::size_t count, int ms) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
+  std::vector<pid_t> members = liveMembersOfGroup(pgid);
+  while (members.size() != count && std::chrono::steady_clock::now() < deadline) {
+    ::usleep(5000);
+    members = liveMembersOfGroup(pgid);
+  }
+  return members;
+}
+
+TEST(FleetConnect, TerminatedSlotLeavesNoProcessOfItsGroupBehind) {
+  // A launcher that forks before exec'ing (the sleepy hosts above): killing
+  // only the shell would leave its `sleep` child holding the slot's pipes.
+  dispatch::WorkerConnection connection = dispatch::spawnWorkerProcess(
+      {"sh", "-c", "sleep 30; exec \"$0\" \"$@\"", "true"}, "sleepy launcher");
+  const pid_t group = connection.pid;
+  ASSERT_GT(group, 0);
+  EXPECT_EQ(::getpgid(group), group) << "a worker must lead its own process group";
+  const std::size_t launched = waitForGroupSize(group, 2, 5000).size();
+  bool killed = true;
+  const int status = dispatch::terminateWorker(connection, 200, &killed);
+  EXPECT_EQ(launched, 2u) << "the group holds the shell and the `sleep` it forked";
+  EXPECT_FALSE(killed) << "SIGTERM to the group should end the shell within the grace";
+  EXPECT_EQ(dispatch::describeWaitStatus(status), "killed by signal 15");
+  EXPECT_EQ(connection.pid, -1);
+  // Delivery to the orphaned child is asynchronous: give it a moment, far
+  // short of the 30 s it would otherwise sleep.
+  const std::vector<pid_t> survivors = waitForGroupSize(group, 0, 2000);
+  EXPECT_TRUE(survivors.empty()) << survivors.size() << " process(es) of group " << group
+                                 << " survived the reap, first pid " << survivors.front();
 }
 
 }  // namespace
